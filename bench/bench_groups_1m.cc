@@ -1,22 +1,19 @@
 // Group fast-path benchmark: drive up to one million concurrent FUSE groups
 // through GroupService on the classic simulator and measure where the cost
-// goes once the per-ping liveness work is O(1) per link
-// (FuseParams::incremental_link_digest + coalesce_group_timers):
+// goes once the per-ping liveness work is O(1) per link (maintained link
+// digests, one sweep timer per node):
 //
 //   * create throughput through the admission-windowed pipeline,
 //   * steady-state events per wall second with every group idle,
 //   * memory density (approx bytes of group state per group) and timer
 //     pressure (armed FUSE-layer timers per group — O(nodes), not
-//     O(groups), with coalescing on),
+//     O(groups)),
 //   * signal -> notification latency p50/p99.9 over a sampled group subset,
 //     with group churn (signal + replacement create) in the background.
 //
 // Usage:
-//   bench_groups_1m                        # 1M groups, 16 nodes, fast path
+//   bench_groups_1m                        # 1M groups, 16 nodes
 //   bench_groups_1m --groups 200000
-//   bench_groups_1m --classic              # recompute/per-group-timer path
-//   bench_groups_1m --compare              # 100k groups on one link: classic
-//                                          #   vs fast path, prints speedup
 //   bench_groups_1m --smoke                # reduced CI gate (groups1m label)
 //   bench_groups_1m --json out.json
 #include <algorithm>
@@ -40,11 +37,7 @@ struct GroupsOptions {
   long groups = 1000000;
   int nodes = 16;
   int size = 2;  // members per group (root included)
-  bool fastpath = true;
   long notify_samples = 10000;
-  // Compare mode: every group spans the same (root 0, member 1) pair, so one
-  // overlay link carries all of them.
-  bool one_link = false;
 };
 
 struct GroupsResult {
@@ -52,7 +45,6 @@ struct GroupsResult {
   long groups_created = 0;
   int nodes = 0;
   int size = 0;
-  bool fastpath = true;
   double build_wall_s = 0;
   double create_wall_s = 0;
   double creates_per_wall_s = 0;
@@ -88,12 +80,8 @@ GroupsResult RunGroups(const GroupsOptions& opt) {
   res.groups_requested = opt.groups;
   res.nodes = opt.nodes;
   res.size = opt.size;
-  res.fastpath = opt.fastpath;
 
-  ClusterConfig cfg = ClusterConfig::LargeScale(opt.nodes, /*seed=*/99);
-  cfg.fuse.incremental_link_digest = opt.fastpath;
-  cfg.fuse.coalesce_group_timers = opt.fastpath;
-  SimCluster cluster(cfg);
+  SimCluster cluster(ClusterConfig::LargeScale(opt.nodes, /*seed=*/99));
 
   auto t0 = std::chrono::steady_clock::now();
   cluster.Build();
@@ -103,12 +91,9 @@ GroupsResult RunGroups(const GroupsOptions& opt) {
   sopts.max_inflight_creates = 1024;
   GroupService svc(cluster, sopts);
 
-  const auto members_for = [&opt](long g) {
-    return opt.one_link ? std::vector<size_t>{0, 1} : MembersFor(g, opt.nodes, opt.size);
-  };
   t0 = std::chrono::steady_clock::now();
   for (long g = 0; g < opt.groups; ++g) {
-    const std::vector<size_t> members = members_for(g);
+    const std::vector<size_t> members = MembersFor(g, opt.nodes, opt.size);
     svc.Create(members[0], members);
     // Keep the queue from buffering a million closures: admit in waves.
     if (svc.NumPendingCreates() >= 4096) {
@@ -185,7 +170,7 @@ GroupsResult RunGroups(const GroupsOptions& opt) {
     const size_t signaler = rec != nullptr ? rec->root : 0;
     (*starts)[i] = cluster.env().Now();
     svc.Signal(signaler, sampled[i]);
-    const std::vector<size_t> churn_members = members_for(churn_seq);
+    const std::vector<size_t> churn_members = MembersFor(churn_seq, opt.nodes, opt.size);
     svc.Create(churn_members[0], churn_members);
     ++churn_seq;
     if ((i + 1) % 1024 == 0) {
@@ -203,8 +188,7 @@ GroupsResult RunGroups(const GroupsOptions& opt) {
 }
 
 void PrintGroupsResult(const GroupsResult& r) {
-  std::printf("\n--- %ld groups, %d nodes, size %d (%s) ---\n", r.groups_requested, r.nodes,
-              r.size, r.fastpath ? "fast path" : "classic");
+  std::printf("\n--- %ld groups, %d nodes, size %d ---\n", r.groups_requested, r.nodes, r.size);
   std::printf("  build wall time          : %10.2f s\n", r.build_wall_s);
   std::printf("  groups created           : %10ld of %ld\n", r.groups_created,
               r.groups_requested);
@@ -230,7 +214,7 @@ void WriteGroupsJson(const std::string& path, const GroupsResult& r) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"groups_1m\",\n"
-               "  \"groups\": %ld, \"nodes\": %d, \"size\": %d, \"fastpath\": %s,\n"
+               "  \"groups\": %ld, \"nodes\": %d, \"size\": %d,\n"
                "  \"build_wall_s\": %.3f, \"create_wall_s\": %.3f,\n"
                "  \"creates_per_wall_s\": %.0f,\n"
                "  \"steady_events\": %llu, \"events_per_wall_s\": %.0f,\n"
@@ -238,7 +222,7 @@ void WriteGroupsJson(const std::string& path, const GroupsResult& r) {
                "  \"bytes_per_group\": %.1f, \"armed_group_timers\": %llu,\n"
                "  \"notify_samples\": %ld, \"notify_delivered\": %ld,\n"
                "  \"notify_p50_ms\": %.2f, \"notify_p999_ms\": %.2f\n}\n",
-               r.groups_created, r.nodes, r.size, r.fastpath ? "true" : "false", r.build_wall_s,
+               r.groups_created, r.nodes, r.size, r.build_wall_s,
                r.create_wall_s, r.creates_per_wall_s,
                static_cast<unsigned long long>(r.steady_events), r.events_per_wall_s,
                r.pending_timers, r.bytes_per_group,
@@ -248,46 +232,11 @@ void WriteGroupsJson(const std::string& path, const GroupsResult& r) {
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-// The A/B for the tentpole claim: pile every group onto one (root, member)
-// pair so a single overlay link carries all of them, then compare steady-state
-// throughput with and without the fast path. Classic mode pays O(groups) SHA-1
-// bytes and O(groups) timer re-arms per ping on that link; the fast path pays
-// a memcmp and one stamp.
-void RunCompare(long groups) {
-  GroupsOptions base;
-  base.groups = groups;
-  base.nodes = 16;
-  base.size = 2;
-  base.notify_samples = 1000;
-  base.one_link = true;
-
-  std::printf("\n== one link, %ld groups: classic (recompute) pass ==\n", groups);
-  GroupsOptions classic = base;
-  classic.fastpath = false;
-  const GroupsResult rc = RunGroups(classic);
-  PrintGroupsResult(rc);
-
-  std::printf("\n== one link, %ld groups: fast-path pass ==\n", groups);
-  GroupsOptions fast = base;
-  fast.fastpath = true;
-  const GroupsResult rf = RunGroups(fast);
-  PrintGroupsResult(rf);
-
-  const double speedup =
-      rc.events_per_wall_s > 0 ? rf.events_per_wall_s / rc.events_per_wall_s : 0;
-  std::printf("\nsteady-state events/wall-s speedup (fast / classic): %.1fx  (target >= 5x)\n",
-              speedup);
-  std::printf("armed timers: classic %llu vs fast %llu\n",
-              static_cast<unsigned long long>(rc.armed_group_timers),
-              static_cast<unsigned long long>(rf.armed_group_timers));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   GroupsOptions opt;
   bool smoke = false;
-  bool compare = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--groups") == 0 && i + 1 < argc) {
@@ -296,10 +245,6 @@ int main(int argc, char** argv) {
       opt.nodes = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--size") == 0 && i + 1 < argc) {
       opt.size = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--classic") == 0) {
-      opt.fastpath = false;
-    } else if (std::strcmp(argv[i], "--compare") == 0) {
-      compare = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -311,13 +256,7 @@ int main(int argc, char** argv) {
   }
 
   Header("Group fast path: 1M concurrent groups through GroupService",
-         "ROADMAP 'Millions of live FUSE groups'; FuseParams::incremental_link_digest + "
-         "coalesce_group_timers");
-
-  if (compare) {
-    RunCompare(smoke ? 20000 : 100000);
-    return 0;
-  }
+         "ROADMAP 'Millions of live FUSE groups'; paper section 7.5");
   if (smoke) {
     opt.groups = 20000;
     opt.notify_samples = 2000;

@@ -9,8 +9,7 @@
 //
 // The group bookkeeping every FUSE application needs (the table of live
 // groups, a create pipeline, per-member failure watches) goes through
-// GroupService — the same facade bench_groups_1m drives at 1M groups — with
-// the group fast path (incremental link digests + coalesced timers) on.
+// GroupService — the same facade bench_groups_1m drives at 1M groups.
 //
 // Run: ./build/examples/cdn_invalidation
 #include <cstdio>
@@ -114,8 +113,6 @@ int main() {
   config.num_nodes = 40;
   config.seed = 11;
   config.cost = CostModel::Simulator();
-  config.fuse.incremental_link_digest = true;
-  config.fuse.coalesce_group_timers = true;
   SimCluster cluster(config);
   cluster.Build();
 

@@ -95,14 +95,22 @@ void Sha1::UpdateU64(uint64_t v) {
 }
 
 Sha1Digest Sha1::Finish() {
+  // Padding goes straight into the block buffer: 0x80, zeros up to byte 56
+  // (spilling into a second block when fewer than 9 bytes remain), then the
+  // big-endian bit length.
   const uint64_t bit_len = total_bytes_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  UpdateU64(bit_len);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - i * 8));
+  }
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
 
   Sha1Digest d;
   for (int i = 0; i < 5; ++i) {

@@ -142,9 +142,6 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
     }
     first = false;
     s += std::to_string(link.peer.value);
-    if (!params_.coalesce_group_timers && !link.timer.pending()) {
-      s += "(idle)";
-    }
   }
   s += "]";
   if (g->aux != nullptr) {
@@ -157,11 +154,6 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
     if (g->aux->member_repair_timer.pending()) {
       s += " member_repair_armed";
     }
-  }
-  if (params_.coalesce_group_timers) {
-    s += " coalesced";
-  } else if (!g->backstop.pending()) {
-    s += " BACKSTOP-IDLE";
   }
   return s;
 }
@@ -205,11 +197,6 @@ size_t FuseNode::CountArmedGroupTimers() const {
     if (g->backstop.pending()) {
       ++n;
     }
-    for (const LinkEntry& link : g->links) {
-      if (link.timer.pending()) {
-        ++n;
-      }
-    }
     if (g->aux != nullptr) {
       const RepairAux& a = *g->aux;
       if (a.member_repair_timer.pending()) {
@@ -233,9 +220,6 @@ size_t FuseNode::CountArmedGroupTimers() const {
 }
 
 bool FuseNode::DebugVerifyLinkDigests() const {
-  if (!params_.incremental_link_digest) {
-    return true;
-  }
   for (const auto& [peer, pl] : links_by_peer_) {
     Sha1Digest expect{};
     for (const FuseId& id : pl.ids) {
@@ -560,14 +544,15 @@ void FuseNode::XorInto(Sha1Digest& digest, FuseId id) {
 }
 
 void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
-  PeerLinks& pl = links_by_peer_[peer];
-  if (pl.ids.insert(id).second && params_.incremental_link_digest) {
+  const auto [it, fresh_peer] = links_by_peer_.try_emplace(peer);
+  PeerLinks& pl = it->second;
+  if (pl.ids.insert(id).second) {
     XorInto(pl.digest, id);
   }
-  if (params_.coalesce_group_timers) {
-    // A fresh install counts as hearing from the peer: the sweep must not
-    // tear down a link that never had a chance to confirm a ping.
-    pl.last_refresh = transport_->env().Now();
+  if (fresh_peer) {
+    // The new link's deadline is the earliest this peer can have. An install
+    // is not a confirmation, so last_refresh stays unset.
+    pl.sweep_at = transport_->env().Now() + params_.link_liveness_timeout;
     ArmPeerSweep();
   }
 }
@@ -575,7 +560,7 @@ void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
 void FuseNode::EraseLinkIndex(FuseId id, HostId peer) {
   const auto it = links_by_peer_.find(peer);
   if (it != links_by_peer_.end()) {
-    if (it->second.ids.erase(id) > 0 && params_.incremental_link_digest) {
+    if (it->second.ids.erase(id) > 0) {
       XorInto(it->second.digest, id);  // XOR is self-inverse: this removes it
     }
     if (it->second.ids.empty()) {
@@ -588,33 +573,31 @@ void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq) {
   if (peer == transport_->local_host() || !peer.valid()) {
     return;
   }
+  const TimePoint now = transport_->env().Now();
   LinkEntry* link = FindLink(g, peer);
   if (link == nullptr) {
     g.links.emplace_back();
     link = &g.links.back();
     link->peer = peer;
-    link->installed_at = transport_->env().Now();
+    link->installed_at = now;
   }
   link->seq = std::max(link->seq, seq);
-  if (params_.coalesce_group_timers) {
-    // No per-link timer: the peer sweep covers it. A participant that just
-    // gained its first link no longer needs the empty-links backstop.
-    AddLinkIndex(g.id, peer);
-    if (g.is_root || g.is_member) {
-      ArmBackstop(g);
-    }
-    return;
-  }
-  ArmLinkTimer(g.id, peer, *link);
+  // An install or re-install restarts this link's deadline; the peer sweep
+  // enforces it. A participant that just gained its first link no longer
+  // needs the empty-links backstop.
+  link->refreshed_at = now;
   AddLinkIndex(g.id, peer);
+  if (g.is_root || g.is_member) {
+    ArmBackstop(g);
+  }
 }
 
 void FuseNode::RemoveLink(GroupState& g, HostId peer) {
   for (auto it = g.links.begin(); it != g.links.end(); ++it) {
     if (it->peer == peer) {
-      g.links.erase(it);  // the link timer auto-cancels
+      g.links.erase(it);
       EraseLinkIndex(g.id, peer);
-      if (params_.coalesce_group_timers && g.links.empty() && (g.is_root || g.is_member)) {
+      if (g.links.empty() && (g.is_root || g.is_member)) {
         ArmBackstop(g);  // last link gone: fall back to the per-group backstop
       }
       return;
@@ -622,20 +605,10 @@ void FuseNode::RemoveLink(GroupState& g, HostId peer) {
   }
 }
 
-void FuseNode::ArmLinkTimer(FuseId id, HostId peer, LinkEntry& link) {
-  // The callback is installed once per link; every ping-driven refresh
-  // afterwards is an allocation-free rearm.
-  if (!link.timer.has_callback()) {
-    link.timer.Bind(transport_->env());
-    link.timer.SetCallback([this, id, peer] { HandleLinkDown(id, peer); });
-  }
-  link.timer.Restart(params_.link_liveness_timeout);
-}
-
 void FuseNode::ArmBackstop(GroupState& g) {
-  if (params_.coalesce_group_timers && !g.links.empty()) {
-    // Healthy coalesced path: the per-peer sweep covers this group through
-    // its links; the per-group timer stays disarmed.
+  if (!g.links.empty()) {
+    // Healthy path: the peer sweep covers this group through its links; the
+    // per-group timer stays disarmed.
     g.backstop.Cancel();
     return;
   }
@@ -659,23 +632,23 @@ void FuseNode::ArmBackstop(GroupState& g) {
 }
 
 void FuseNode::ArmPeerSweep() {
-  if (!params_.coalesce_group_timers || shutdown_ || links_by_peer_.empty()) {
+  if (shutdown_ || links_by_peer_.empty()) {
     return;
   }
   if (peer_sweep_.pending()) {
-    // Already armed at some earlier min-deadline. Stamps only move forward
-    // and a new peer's deadline (now + timeout) can never undercut a armed
-    // minimum, so the pending fire is always early enough; it rescans and
-    // rearms. Spurious wakeups cost one O(neighbors) scan.
+    // Already armed at some earlier minimum. Every sweep_at is set to at
+    // most (the time it is set) + timeout, so a pending fire is never later
+    // than a peer added since; it rescans and rearms. Spurious wakeups cost
+    // one O(neighbors) scan.
     return;
   }
   TimePoint earliest = TimePoint::Max();
   for (const auto& [peer, pl] : links_by_peer_) {
-    earliest = std::min(earliest, pl.last_refresh);
+    earliest = std::min(earliest, pl.sweep_at);
   }
   const TimePoint now = transport_->env().Now();
-  const TimePoint deadline = earliest + params_.link_liveness_timeout;
-  const Duration delay = deadline > now ? deadline - now : Duration::Zero();
+  const Duration delay = earliest > now ? earliest - now : Duration::Zero();
+  sweep_due_ = std::max(earliest, now);
   peer_sweep_.Bind(transport_->env());
   // Start (not Restart): this also runs from inside the sweep's own fire,
   // where the stored callback is temporarily consumed.
@@ -683,18 +656,42 @@ void FuseNode::ArmPeerSweep() {
 }
 
 void FuseNode::SweepStalePeers() {
-  const TimePoint now = transport_->env().Now();
+  // A host whose timers run fast (injected clock skew) fires the sweep before
+  // sweep_due_. It then acts at the time it was armed for, as an early-firing
+  // per-link timer would, instead of re-arming ever closer to it.
+  const TimePoint now = std::max(transport_->env().Now(), sweep_due_);
+  const Duration timeout = params_.link_liveness_timeout;
   // Snapshot the stale (peer, id) pairs first: HandleLinkDown mutates both
   // the peer table and the group table. Swap-in the pooled scratch so a
   // reentrant activation owns its own buffer.
   std::vector<std::pair<HostId, FuseId>> stale = std::move(sweep_scratch_);
   stale.clear();
-  for (const auto& [peer, pl] : links_by_peer_) {
-    if (now - pl.last_refresh >= params_.link_liveness_timeout) {
-      for (const FuseId& id : pl.ids) {
+  for (auto& [peer, pl] : links_by_peer_) {
+    if (pl.sweep_at > now) {
+      continue;
+    }
+    if (now - pl.last_refresh < timeout) {
+      // Confirmed recently: every link through the peer lives at least until
+      // last_refresh + timeout.
+      pl.sweep_at = pl.last_refresh + timeout;
+      continue;
+    }
+    // The peer's confirmation is stale, so each link lives until its own
+    // last install plus the timeout.
+    TimePoint next = now + timeout;
+    for (const FuseId& id : pl.ids) {
+      const GroupState* g = Find(id);
+      const LinkEntry* link = g == nullptr ? nullptr : FindLink(*g, peer);
+      if (link == nullptr) {
+        continue;
+      }
+      if (now - link->refreshed_at >= timeout) {
         stale.emplace_back(peer, id);
+      } else {
+        next = std::min(next, link->refreshed_at + timeout);
       }
     }
+    pl.sweep_at = next;
   }
   for (const auto& [peer, id] : stale) {
     HandleLinkDown(id, peer);
@@ -704,74 +701,31 @@ void FuseNode::SweepStalePeers() {
   ArmPeerSweep();
 }
 
-// Computes the 20-byte piggyback hash of the link's live FUSE-ID list, or
-// returns false when nothing is monitored on that link. Classic mode hashes
-// the whole ID list (O(groups-on-link), once per ping sent and received);
-// incremental mode returns the digest maintained at add/remove time. Both
-// encodings are 20 bytes, so the mode changes no message sizes — only which
-// side pays the CPU.
-bool FuseNode::LinkHashFor(HostId neighbor, Sha1Digest* out) {
-  const auto it = links_by_peer_.find(neighbor);
-  if (it == links_by_peer_.end() || it->second.ids.empty()) {
-    return false;
-  }
-  if (params_.incremental_link_digest) {
-    *out = it->second.digest;
-    return true;
-  }
-  Sha1 h;
-  for (const FuseId& id : it->second.ids) {
-    h.UpdateU64(id.hi);
-    h.UpdateU64(id.lo);
-  }
-  *out = h.Finish();
-  return true;
-}
-
 void FuseNode::AppendPingPayload(HostId neighbor, Writer& w) {
-  Sha1Digest d;
-  if (LinkHashFor(neighbor, &d)) {
-    w.PutBytes(d.data(), d.size());
+  const auto it = links_by_peer_.find(neighbor);
+  if (it != links_by_peer_.end()) {
+    w.PutBytes(it->second.digest.data(), it->second.digest.size());
   }
 }
 
 void FuseNode::OnPingPayload(HostId neighbor, const uint8_t* data, size_t len) {
-  Sha1Digest local;
-  const bool monitored = LinkHashFor(neighbor, &local);
-  if (!monitored && len == 0) {
-    return;  // both sides agree: nothing monitored on this link
-  }
-  if (monitored && len == local.size() && std::memcmp(data, local.data(), len) == 0) {
-    ResetLinkTimers(neighbor);
-    return;
-  }
-  MaybeReconcile(neighbor);
-}
-
-void FuseNode::ResetLinkTimers(HostId neighbor) {
+  // Peer entries exist only while at least one link rides on them, so an
+  // absent entry means nothing is monitored here.
   const auto it = links_by_peer_.find(neighbor);
   if (it == links_by_peer_.end()) {
+    if (len != 0) {
+      MaybeReconcile(neighbor);
+    }
     return;
   }
-  if (params_.coalesce_group_timers) {
-    // O(1) healthy path: one stamp covers every group on the link; the
-    // armed sweep timer needs no adjustment (it rescans on fire).
+  const Sha1Digest& local = it->second.digest;
+  if (len == local.size() && std::memcmp(data, local.data(), len) == 0) {
+    // Agreement confirms every link through the peer with one stamp; the
+    // armed sweep needs no adjustment (it rescans on fire).
     it->second.last_refresh = transport_->env().Now();
     return;
   }
-  for (const FuseId& id : it->second.ids) {
-    GroupState* g = Find(id);
-    if (g == nullptr) {
-      continue;
-    }
-    LinkEntry* link = FindLink(*g, neighbor);
-    if (link != nullptr) {
-      ArmLinkTimer(id, neighbor, *link);
-    }
-    if (g->is_root || g->is_member) {
-      ArmBackstop(*g);
-    }
-  }
+  MaybeReconcile(neighbor);
 }
 
 void FuseNode::OnOverlayNeighborFailed(HostId neighbor) {
@@ -871,16 +825,20 @@ std::vector<uint8_t> FuseNode::EncodeLinkList(HostId neighbor) {
 
 void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
   const uint32_t n = r.GetU32();
-  std::set<FuseId> remote;
+  // The list comes off the wire: sort it here rather than trust its order.
+  // No reserve(n): a hostile count must not force a large allocation before
+  // the reader runs dry.
+  std::vector<FuseId> remote;
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     const FuseId id = ReadFuseId(r);
     r.GetU32();  // seq (informational)
     r.GetU64();  // age
-    remote.insert(id);
+    remote.push_back(id);
   }
   if (!r.ok()) {
     return;
   }
+  std::sort(remote.begin(), remote.end());
   const auto it = links_by_peer_.find(neighbor);
   if (it == links_by_peer_.end()) {
     return;
@@ -897,23 +855,16 @@ void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
     if (link == nullptr) {
       continue;
     }
-    if (remote.contains(id)) {
-      // Agreement: the tree lives on; reset the timers (paper 6.3).
-      agreed = true;
-      if (!params_.coalesce_group_timers) {
-        ArmLinkTimer(id, neighbor, *link);
-        if (g->is_root || g->is_member) {
-          ArmBackstop(*g);
-        }
-      }
+    if (std::binary_search(remote.begin(), remote.end(), id)) {
+      agreed = true;  // the tree lives on (paper 6.3)
     } else if (now - link->installed_at > params_.grace_period) {
       // Disagreement beyond the grace period: the neighbor does not believe
       // this liveness tree exists; tear it down on our side.
       HandleLinkDown(id, neighbor);
     }
   }
-  if (agreed && params_.coalesce_group_timers) {
-    // One stamp bump covers every agreed group on the link. Re-find: the
+  if (agreed) {
+    // One stamp bump confirms every agreed group on the link. Re-find: the
     // HandleLinkDown calls above may have erased and recreated table entries.
     const auto it2 = links_by_peer_.find(neighbor);
     if (it2 != links_by_peer_.end()) {
@@ -1047,8 +998,8 @@ void FuseNode::DropGroup(FuseId id, bool deliver_to_app) {
   }
   const GroupRef ref = *rp;
   GroupState& g = *group_pool_.Get(ref);
-  // Releasing the pool slot below disarms every timer the group owns (links,
-  // backstop, repair machinery); only the peer index needs explicit
+  // Releasing the pool slot below disarms every timer the group owns
+  // (backstop, repair machinery); only the peer index needs explicit
   // maintenance.
   for (const LinkEntry& link : g.links) {
     EraseLinkIndex(id, link.peer);

@@ -11,8 +11,9 @@
 //    was contacted, or with an error after the create timeout);
 //  * liveness spanning trees along overlay routes (members route
 //    InstallChecking toward the root; intermediate nodes become delegates);
-//  * liveness is piggybacked on overlay ping traffic as a 20-byte SHA-1 of
-//    the per-link live FUSE-ID list, so FUSE adds no steady-state messages;
+//  * liveness is piggybacked on overlay ping traffic as a 20-byte SHA-1
+//    fingerprint of the per-link live FUSE-ID set, so FUSE adds no
+//    steady-state messages;
 //  * hash mismatches trigger a reconcile exchange with a 5 s grace period;
 //  * delegate/path failures trigger SoftNotifications and *repair*, not
 //    application-visible failures; create/repair failures and explicit
@@ -21,15 +22,18 @@
 //  * no stable storage: crash recovery is re-registration plus the
 //    reconciliation mechanism tearing down groups the crashed node forgot.
 //
-// Group fast path (FuseParams::incremental_link_digest /
-// coalesce_group_timers, both opt-in): the per-ping liveness cost is O(1) in
-// the number of groups on a link. The piggyback hash becomes a maintained
-// XOR-of-SHA1 set digest updated at link add/remove time, and the per-group
-// link/backstop timers on the healthy path collapse into one last-heard
-// stamp per neighbor plus a single earliest-deadline sweep timer per node.
-// Group state itself lives in a generation-tagged Pool indexed by a
-// Flat128Map, with the rarely-used repair machinery split into an on-demand
-// side allocation, so a million idle groups cost bytes, not timers.
+// Liveness cost per ping is O(1) in the number of groups on a link (paper
+// 7.5: steady-state cost must not grow with the group count). The piggyback
+// fingerprint is an XOR-of-SHA1 set digest maintained at link add/remove
+// time, not recomputed per ping. No group arms a timer on the healthy path:
+// each link records its last install, each neighbor its last confirmation
+// (matching ping digest or reconcile agreement), and one earliest-deadline
+// sweep timer per node tears down every link whose deadline
+// max(install, confirmation) + link_liveness_timeout has passed. Only a
+// participant with no links left arms a per-group backstop. Group state
+// lives in a generation-tagged Pool indexed by a Flat128Map, with the
+// rarely-used repair machinery split into an on-demand side allocation, so
+// a million idle groups cost bytes, not timers.
 #ifndef FUSE_FUSE_FUSE_NODE_H_
 #define FUSE_FUSE_FUSE_NODE_H_
 
@@ -121,25 +125,24 @@ class FuseNode {
   // Estimated heap bytes held by this node's group state (pool slots, link
   // index, member lists). For the bytes-per-group bench gauges.
   size_t ApproxGroupBytes() const;
-  // Armed FUSE-layer timers (link, backstop, repair, sweep). The coalesced
-  // fast path keeps this O(neighbors); classic mode is O(groups).
+  // Armed FUSE-layer timers (backstop, repair, sweep): O(neighbors) plus
+  // transient repair state, independent of the group count.
   size_t CountArmedGroupTimers() const;
-  // Oracle for the incremental digest: recomputes every per-peer digest from
-  // scratch and compares with the maintained value. Always true when
-  // incremental_link_digest is off.
+  // Oracle for the maintained digests: recomputes every per-peer digest from
+  // scratch and compares with the maintained value.
   bool DebugVerifyLinkDigests() const;
 
   void Shutdown();
 
  private:
-  // All timers below are RAII handles: dropping a LinkEntry, CreatePending,
+  // All timers below are RAII handles: dropping a CreatePending,
   // RepairPending, or GroupState disarms everything it owns, so the teardown
   // paths need no explicit cancellation bookkeeping.
   struct LinkEntry {
     HostId peer;
     uint32_t seq = 0;           // tree incarnation this link belongs to
-    TimePoint installed_at;     // for the reconcile grace period
-    Timer timer;                // classic mode: per-(group, link) liveness backstop
+    TimePoint installed_at;     // first install: the reconcile grace period
+    TimePoint refreshed_at;     // last install or re-install: the deadline floor
   };
 
   struct CreatePending {
@@ -194,9 +197,8 @@ class FuseNode {
 
     // Members/root: group-level liveness backstop (paper 6.2: "a timer ...
     // that will signal failure in the event of future communication
-    // failures", reset only by liveness checking). In coalesced mode it is
-    // armed only while the group has no links (the per-peer sweep covers it
-    // otherwise).
+    // failures"). Armed only while the group has no links; the peer sweep
+    // covers it otherwise.
     Timer backstop;
 
     std::unique_ptr<RepairAux> aux;
@@ -206,16 +208,18 @@ class FuseNode {
 
   using GroupRef = Pool<GroupState>::Ref;
 
-  // Per-neighbor liveness index: which groups ride on the link, plus the two
-  // fast-path fields — the maintained XOR-of-SHA1 set digest
-  // (incremental_link_digest) and the last healthy-confirmation stamp
-  // (coalesce_group_timers).
+  // Per-neighbor liveness index: which groups ride on the link, their
+  // maintained XOR-of-SHA1 set digest, and the sweep's per-peer stamps.
   struct PeerLinks {
-    // Ordered so the classic SHA-1 piggyback hash and the reconcile link
-    // list are deterministic.
+    // Ordered so the reconcile link list is deterministic.
     std::set<FuseId> ids;
     Sha1Digest digest{};
+    // Last confirmation of every link through the peer: a matching ping
+    // digest or a reconcile agreement. Installs do not count.
     TimePoint last_refresh;
+    // Lower bound on the earliest link deadline through the peer; the sweep
+    // skips the peer until then.
+    TimePoint sweep_at;
   };
 
   // --- API plumbing ---
@@ -234,18 +238,15 @@ class FuseNode {
   void OnReconcileReply(const WireMessage& msg);
 
   // --- liveness ---
-  bool LinkHashFor(HostId neighbor, Sha1Digest* out);
   void AppendPingPayload(HostId neighbor, Writer& w);
   void OnPingPayload(HostId neighbor, const uint8_t* data, size_t len);
   void OnOverlayNeighborFailed(HostId neighbor);
   void AddLink(GroupState& g, HostId peer, uint32_t seq);
   void RemoveLink(GroupState& g, HostId peer);
-  void ResetLinkTimers(HostId neighbor);
-  void ArmLinkTimer(FuseId id, HostId peer, LinkEntry& link);
   void ArmBackstop(GroupState& g);
   void HandleLinkDown(FuseId id, HostId peer);
-  // Coalesced mode: one timer armed at the earliest per-peer deadline;
-  // firing rescans the peer table and tears down every stale link.
+  // One timer armed at the earliest per-peer sweep_at; firing rescans the
+  // peer table and tears down every link past its deadline.
   void ArmPeerSweep();
   void SweepStalePeers();
 
@@ -300,8 +301,9 @@ class FuseNode {
   std::unordered_map<HostId, PeerLinks> links_by_peer_;
   std::unordered_map<HostId, TimePoint> last_reconcile_;
 
-  // Coalesced mode: the single per-node group-liveness timer.
+  // The single per-node group-liveness timer, and the time it is armed for.
   Timer peer_sweep_;
+  TimePoint sweep_due_;
   // Pooled scratch snapshots for the failure paths (OnOverlayNeighborFailed,
   // SweepStalePeers): reused across invocations, handed off by swap so a
   // reentrant activation owns its own snapshot.

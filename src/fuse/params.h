@@ -27,9 +27,11 @@ struct FuseParams {
   // member has failed, the root times out after 2 minutes").
   Duration root_repair_timeout = Duration::Seconds(120);
 
-  // Per-(group, link) liveness backstop: if no ping confirmation arrives on a
-  // monitored link for this long, the link is declared down. Slightly more
-  // than ping period (60 s) + ping timeout (20 s).
+  // Link liveness deadline: a monitored link is declared down once this long
+  // has passed since both its last install and the last confirmation of its
+  // neighbor (a matching ping digest or a reconcile agreement). One sweep
+  // timer per node enforces it. Also the backstop of a participant that has
+  // no links. Slightly more than ping period (60 s) + ping timeout (20 s).
   Duration link_liveness_timeout = Duration::Seconds(90);
 
   // Grace period before a liveness-tree disagreement is acted on (section
@@ -51,24 +53,6 @@ struct FuseParams {
   // repaired ("has the advantage of implementation simplicity, but can be a
   // significant source of false positives").
   bool attempt_repair = true;
-
-  // Group fast path, part 1 (off by default so classic golden traces stay
-  // byte-identical): maintain an order-independent 160-bit digest per
-  // (link, peer) — the XOR of SHA-1(FuseId) over the link's live IDs,
-  // updated O(1) on link add/remove — instead of re-running SHA-1 over the
-  // whole ID list on every ping sent and received. Both encodings are 20
-  // bytes on the wire, so enabling this changes no message sizes (and hence
-  // no simulated schedules), only the per-ping CPU cost.
-  bool incremental_link_digest = false;
-
-  // Group fast path, part 2 (off by default): replace the per-(group, link)
-  // liveness timers and per-group backstops on the healthy path with one
-  // last-heard stamp per neighbor and a single earliest-deadline sweep timer
-  // per node, the same coalescing move SkipNetConfig::coalesce_pings applies
-  // to ping timers. Armed timers become O(neighbors) instead of O(groups);
-  // detection of a stale link may lag the classic per-link timer by up to
-  // one sweep rescan, which is within the protocol's timeout slack.
-  bool coalesce_group_timers = false;
 };
 
 }  // namespace fuse

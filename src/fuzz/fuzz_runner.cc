@@ -51,8 +51,6 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
   cfg.cost = CostModel::Simulator();
   cfg.num_shards = options.num_shards;
   cfg.threads = options.threads;
-  cfg.fuse.incremental_link_digest = options.incremental_link_digest;
-  cfg.fuse.coalesce_group_timers = options.coalesce_group_timers;
   const std::unique_ptr<ClusterHarness> cluster_ptr = MakeSimCluster(cfg);
   ClusterHarness& cluster = *cluster_ptr;
   cluster.Build();

@@ -42,14 +42,6 @@ struct FuzzRunOptions {
   int num_shards = 0;
   int threads = 1;
 
-  // Group fast-path flags under test (FuseParams::incremental_link_digest /
-  // coalesce_group_timers). The digest changes no message sizes, so its
-  // verdicts AND log lines must match classic byte-for-byte; coalescing
-  // shifts detection timing within the oracle's windows, so only its
-  // verdicts must stay green.
-  bool incremental_link_digest = false;
-  bool coalesce_group_timers = false;
-
   // Virtual-time bounds (the simulator's analytic detection bound, as in
   // runtime/scenario.cc).
   Duration settle = Duration::Minutes(2);

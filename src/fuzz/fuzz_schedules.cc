@@ -25,14 +25,11 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--schedules N] [--seed S] [--repro-dir DIR] [--no-shrink] [--quiet]\n"
-               "          [--shards S] [--threads T] [--incremental-digest]\n"
-               "          [--coalesce-group-timers]\n"
+               "          [--shards S] [--threads T]\n"
                "       %s --replay FILE [--shrink]\n"
                "  --shards 0 (default) runs the classic single-threaded simulator;\n"
                "  --shards >= 1 runs the sharded engine with --threads workers\n"
-               "  (verdicts depend on the shard count, never the thread count).\n"
-               "  --incremental-digest / --coalesce-group-timers enable the group\n"
-               "  fast path under test; digest-mode log lines must match classic.\n",
+               "  (verdicts depend on the shard count, never the thread count).\n",
                argv0, argv0);
 }
 
@@ -80,10 +77,6 @@ int main(int argc, char** argv) {
       run_options.num_shards = static_cast<int>(std::strtol(next(), nullptr, 10));
     } else if (std::strcmp(arg, "--threads") == 0) {
       run_options.threads = static_cast<int>(std::strtol(next(), nullptr, 10));
-    } else if (std::strcmp(arg, "--incremental-digest") == 0) {
-      run_options.incremental_link_digest = true;
-    } else if (std::strcmp(arg, "--coalesce-group-timers") == 0) {
-      run_options.coalesce_group_timers = true;
     } else {
       Usage(argv[0]);
       return 1;

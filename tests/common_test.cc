@@ -160,6 +160,24 @@ TEST(Sha1Test, KnownVectors) {
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
 }
 
+// Messages of n 'a' bytes at the padding boundaries: 55 leaves room for the
+// 0x80 and length in one block, 56..63 spill the length into a second block,
+// 64/119/120 repeat the cases one block later. Reference digests from
+// python3 hashlib.sha1(b'a' * n).
+TEST(Sha1Test, PaddingBoundaryVectors) {
+  const std::pair<size_t, const char*> cases[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [len, hex] : cases) {
+    EXPECT_EQ(Sha1::ToHex(Sha1::Hash(std::string(len, 'a'))), hex) << "len=" << len;
+  }
+}
+
 TEST(Sha1Test, MillionA) {
   Sha1 h;
   const std::string chunk(1000, 'a');

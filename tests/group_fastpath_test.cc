@@ -1,35 +1,33 @@
-// Group fast-path tests (FuseParams::incremental_link_digest /
-// coalesce_group_timers) and the GroupService facade.
-//
-// The digest mode's contract is exact equivalence: the maintained
-// XOR-of-SHA1 digest is 20 bytes like the classic recomputed hash, so the
-// same schedule must produce byte-identical fuzz log lines. The coalesced
-// mode's contract is behavioral: detection may lag the classic per-link
-// timers by up to one sweep rescan, so verdicts must stay green but timing
-// may shift — which is why the two flags gate independently.
+// Group liveness fast-path tests (maintained link digests, one sweep timer
+// per node with per-link deadlines) and the GroupService facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serialize.h"
+#include "fuse/fuse_id.h"
+#include "fuse/fuse_node.h"
 #include "fuzz/fault_schedule.h"
 #include "fuzz/fuzz_runner.h"
+#include "overlay/skipnet_node.h"
 #include "runtime/sim_cluster.h"
 #include "service/group_service.h"
 
 namespace fuse {
 namespace {
 
-ClusterConfig FastPathConfig(int n, uint64_t seed, bool digest, bool coalesce) {
+ClusterConfig FastPathConfig(int n, uint64_t seed) {
   ClusterConfig cfg;
   cfg.num_nodes = n;
   cfg.seed = seed;
   cfg.topology.num_as = 60;
   cfg.cost = CostModel::Simulator();
-  cfg.fuse.incremental_link_digest = digest;
-  cfg.fuse.coalesce_group_timers = coalesce;
   return cfg;
 }
 
@@ -66,7 +64,7 @@ void ExpectDigestsVerify(SimCluster& cluster) {
 // node's maintained per-peer digest must equal a from-scratch recompute of
 // XOR(SHA-1(id)) over its live link set.
 TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
-  SimCluster cluster(FastPathConfig(12, 501, /*digest=*/true, /*coalesce=*/false));
+  SimCluster cluster(FastPathConfig(12, 501));
   cluster.Build();
   Rng rng(0xd1685u);
   std::vector<FuseId> live;
@@ -96,31 +94,11 @@ TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
   ExpectDigestsVerify(cluster);
 }
 
-// The digest changes which bytes ride the pings but not how many, so the
-// whole fuzz-oracle run — verdict, QoS counters, detection latencies, all
-// folded into the deterministic log line — must match classic byte-for-byte.
-TEST(IncrementalDigestTest, FuzzLogLinesMatchClassicByteForByte) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    const FaultSchedule s = GenerateSchedule(seed);
-    FuzzRunOptions classic;
-    FuzzRunOptions digest;
-    digest.incremental_link_digest = true;
-    const FuzzRunResult rc = RunSchedule(s, classic);
-    const FuzzRunResult rd = RunSchedule(s, digest);
-    EXPECT_EQ(rc.log_line, rd.log_line) << "seed " << seed;
-    EXPECT_EQ(rc.violations, rd.violations) << "seed " << seed;
-  }
-}
-
-// Coalesced mode keeps the oracle green: timing may shift by a sweep rescan,
-// which is within the oracle's detection windows.
+// The fault-schedule oracle stays green on the sweep's detection timing.
 TEST(CoalescedTimersTest, FuzzVerdictsStayGreen) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const FaultSchedule s = GenerateSchedule(seed);
-    FuzzRunOptions opts;
-    opts.incremental_link_digest = true;
-    opts.coalesce_group_timers = true;
-    const FuzzRunResult r = RunSchedule(s, opts);
+    const FuzzRunResult r = RunSchedule(s);
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.log_line;
   }
 }
@@ -129,7 +107,7 @@ TEST(CoalescedTimersTest, FuzzVerdictsStayGreen) {
 // many groups exist, and a real crash is still detected by every surviving
 // member exactly once.
 TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
-  SimCluster cluster(FastPathConfig(16, 502, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(16, 502));
   cluster.Build();
 
   struct Group {
@@ -153,8 +131,8 @@ TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
     live_groups += cluster.node(i).fuse()->NumLiveGroups();
   }
   // 60 groups x 3 members (plus delegates) hold hundreds of group records;
-  // classic mode arms 2+ timers per (group, link). Coalesced: at most the
-  // one sweep timer per node plus transient repair state.
+  // armed timers are at most the one sweep timer per node plus transient
+  // repair state.
   EXPECT_GE(live_groups, 180u);
   EXPECT_LE(armed, 2 * cluster.size()) << "timers not coalesced";
 
@@ -200,7 +178,7 @@ TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
 // After every group is gone the sweep disarms itself: a node with no
 // monitored links holds zero armed FUSE timers.
 TEST(CoalescedTimersTest, SweepDisarmsWhenIdle) {
-  SimCluster cluster(FastPathConfig(10, 503, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(10, 503));
   cluster.Build();
   std::vector<FuseId> ids;
   std::vector<std::vector<size_t>> member_sets;
@@ -225,8 +203,81 @@ TEST(CoalescedTimersTest, SweepDisarmsWhenIdle) {
   }
 }
 
+// True if `node` monitors a link to `peer` for group `id` (read from the
+// links=[...] field of DebugGroupState).
+bool HoldsLink(const FuseNode& node, FuseId id, HostId peer) {
+  const std::string s = node.DebugGroupState(id);
+  const size_t open = s.find("links=[");
+  if (open == std::string::npos) {
+    return false;
+  }
+  const size_t from = open + 7;
+  std::istringstream links(s.substr(from, s.find(']', from) - from));
+  uint64_t value = 0;
+  while (links >> value) {
+    if (value == peer.value) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Installs are not confirmations. Node A holds a link to P that P does not
+// (a phantom) while fresh installs keep arriving from P on the same
+// neighbor. The phantom must die at its own deadline: its install plus
+// link_liveness_timeout, pushed back at most by the one reconcile agreement
+// each side makes within a ping round of the mismatch. Reconciles are held
+// off (long interval and grace) so only the sweep can remove it.
+TEST(CoalescedTimersTest, PhantomLinkDiesAtItsDeadlineDespiteFreshInstalls) {
+  ClusterConfig cfg = FastPathConfig(2, 506);
+  cfg.overlay.ping_period = Duration::Seconds(5);
+  cfg.overlay.ping_timeout = Duration::Seconds(2);
+  cfg.fuse.reconcile_min_interval = Duration::Minutes(600);
+  cfg.fuse.grace_period = Duration::Minutes(600);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  const size_t a = 0;
+  const size_t p = 1;
+  const NodeRef a_ref = cluster.RefsOf({a})[0];
+  const NodeRef p_ref = cluster.RefsOf({p})[0];
+
+  // The phantom: a singleton group at A, plus an InstallChecking for it that
+  // P routes to A without holding any state of its own.
+  Status status;
+  const FuseId phantom = CreateGroupSync(cluster, a, {a}, &status);
+  ASSERT_TRUE(status.ok());
+  Writer w;
+  WriteFuseId(w, phantom);
+  w.PutU32(0);
+  WriteNodeRef(w, p_ref);
+  cluster.node(p).overlay()->RouteByName(a_ref.name, FuseNode::kRoutedTag, w.Take(),
+                                         MsgCategory::kFuseInstallChecking);
+  cluster.sim().RunFor(Duration::Seconds(1));
+  const TimePoint installed = cluster.sim().Now();
+  ASSERT_TRUE(HoldsLink(*cluster.node(a).fuse(), phantom, p_ref.host));
+  ASSERT_FALSE(cluster.node(p).fuse()->HasLiveGroup(phantom));
+
+  // Fresh installs from P every 10 s, well inside the timeout.
+  const Duration timeout = cfg.fuse.link_liveness_timeout;
+  const TimePoint check_alive = installed + timeout - Duration::Seconds(2);
+  const TimePoint check_gone = installed + timeout + cfg.overlay.ping_period + Duration::Seconds(5);
+  bool alive_before_deadline = false;
+  while (cluster.sim().Now() < check_gone) {
+    CreateGroupSync(cluster, a, {a, p}, nullptr);
+    const TimePoint next = std::min(cluster.sim().Now() + Duration::Seconds(10), check_gone);
+    if (cluster.sim().Now() < check_alive && next >= check_alive) {
+      cluster.sim().RunUntil(check_alive);
+      alive_before_deadline = HoldsLink(*cluster.node(a).fuse(), phantom, p_ref.host);
+    }
+    cluster.sim().RunUntil(next);
+  }
+  EXPECT_TRUE(alive_before_deadline) << "phantom link torn down before its deadline";
+  EXPECT_FALSE(HoldsLink(*cluster.node(a).fuse(), phantom, p_ref.host))
+      << "phantom link outlived its deadline: " << cluster.node(a).fuse()->DebugGroupState(phantom);
+}
+
 TEST(GroupServiceTest, CreateDrainWatchSignalRoundTrip) {
-  SimCluster cluster(FastPathConfig(8, 504, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(8, 504));
   cluster.Build();
   GroupServiceOptions opts;
   opts.max_inflight_creates = 64;
@@ -266,7 +317,7 @@ TEST(GroupServiceTest, CreateDrainWatchSignalRoundTrip) {
 }
 
 TEST(GroupServiceTest, CreateAgainstCrashedMemberCountsAsFailed) {
-  SimCluster cluster(FastPathConfig(8, 505, /*digest=*/true, /*coalesce=*/true));
+  SimCluster cluster(FastPathConfig(8, 505));
   cluster.Build();
   cluster.Crash(5);
   GroupService svc(cluster);
