@@ -259,6 +259,8 @@ class Flat128Map {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  // Slots allocated (a power of two, or zero before the first insert).
+  size_t capacity() const { return states_.size(); }
 
  private:
   enum State : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };

@@ -92,17 +92,9 @@ FuseNode::GroupState& FuseNode::Emplace(GroupState&& g) {
   return *group_pool_.Get(ref);
 }
 
-FuseNode::LinkEntry* FuseNode::FindLink(GroupState& g, HostId peer) {
-  for (LinkEntry& link : g.links) {
-    if (link.peer == peer) {
-      return &link;
-    }
-  }
-  return nullptr;
-}
-
-const FuseNode::LinkEntry* FuseNode::FindLink(const GroupState& g, HostId peer) const {
-  return const_cast<FuseNode*>(this)->FindLink(const_cast<GroupState&>(g), peer);
+FuseNode::LinkEntry* FuseNode::FindLink(FuseId id, HostId peer) {
+  const auto it = links_by_peer_.find(peer);
+  return it == links_by_peer_.end() ? nullptr : it->second.links.Find(id.hi, id.lo);
 }
 
 FuseNode::RepairAux& FuseNode::Aux(GroupState& g) {
@@ -136,12 +128,12 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
   s += " seq=" + std::to_string(g->seq);
   s += " links=[";
   bool first = true;
-  for (const LinkEntry& link : g->links) {
+  for (const HostId peer : g->links) {
     if (!first) {
       s += " ";
     }
     first = false;
-    s += std::to_string(link.peer.value);
+    s += std::to_string(peer.value);
   }
   s += "]";
   if (g->aux != nullptr) {
@@ -170,7 +162,7 @@ size_t FuseNode::ApproxGroupBytes() const {
       return;
     }
     total += sizeof(GroupState);
-    total += g->links.capacity() * sizeof(LinkEntry);
+    total += g->links.capacity() * sizeof(HostId);
     total += g->members.capacity() * sizeof(NodeRef);
     for (const auto& m : g->members) {
       total += m.name.capacity();
@@ -181,8 +173,8 @@ size_t FuseNode::ApproxGroupBytes() const {
     }
   });
   for (const auto& [peer, pl] : links_by_peer_) {
-    // Red-black tree node: key + parent/left/right pointers + color word.
-    total += sizeof(PeerLinks) + pl.ids.size() * (sizeof(FuseId) + 4 * sizeof(void*));
+    // Every slot of the open-addressed table: state byte, 128-bit key, entry.
+    total += sizeof(PeerLinks) + pl.links.capacity() * (1 + sizeof(FuseId) + sizeof(LinkEntry));
   }
   return total;
 }
@@ -219,17 +211,36 @@ size_t FuseNode::CountArmedGroupTimers() const {
   return n;
 }
 
-bool FuseNode::DebugVerifyLinkDigests() const {
+bool FuseNode::DebugVerifyLinkIndex() const {
+  bool ok = true;
+  // Group to peer: each listed link is in that peer's table, once.
+  size_t listed = 0;
+  group_index_.ForEach([&](uint64_t hi, uint64_t lo, const GroupRef& ref) {
+    const GroupState* g = group_pool_.Get(ref);
+    if (g == nullptr) {
+      ok = false;
+      return;
+    }
+    for (const HostId peer : g->links) {
+      ++listed;
+      const auto it = links_by_peer_.find(peer);
+      ok = ok && it != links_by_peer_.end() && it->second.links.Find(hi, lo) != nullptr;
+    }
+  });
+  ok = ok && listed == NumMonitoredLinks();
+  // Peer to group: each entry belongs to a live group that lists the peer,
+  // and the digest is the XOR of the entries' terms.
   for (const auto& [peer, pl] : links_by_peer_) {
     Sha1Digest expect{};
-    for (const FuseId& id : pl.ids) {
-      XorInto(expect, id);
-    }
-    if (expect != pl.digest) {
-      return false;
-    }
+    pl.links.ForEach([&](uint64_t hi, uint64_t lo, const LinkEntry&) {
+      const FuseId id{hi, lo};
+      XorInto(expect, IdTerm(id).get());
+      const GroupState* g = Find(id);
+      ok = ok && g != nullptr && std::find(g->links.begin(), g->links.end(), peer) != g->links.end();
+    });
+    ok = ok && !pl.links.empty() && expect == pl.digest;
   }
-  return true;
+  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -318,8 +329,9 @@ void FuseNode::FinishCreate(FuseId id, const Status& status) {
     }
   }
   GroupState& gs = Emplace(std::move(g));
+  const IdTerm term(id);
   for (HostId peer : p.early_links) {
-    AddLink(gs, peer, /*seq=*/0);
+    AddLink(gs, peer, /*seq=*/0, term);
   }
   if (!install_pending.empty()) {
     RepairAux& aux = Aux(gs);
@@ -449,7 +461,7 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     // first hop toward the root.
     GroupState* g = Find(id);
     if (g != nullptr && upcall.next_hop.valid()) {
-      AddLink(*g, upcall.next_hop.host, seq);
+      AddLink(*g, upcall.next_hop.host, seq, IdTerm(id));
     }
     return false;
   }
@@ -473,7 +485,7 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
           }
         }
       }
-      AddLink(*g, upcall.prev_hop, seq);
+      AddLink(*g, upcall.prev_hop, seq, IdTerm(id));
       ArmBackstop(*g);
       return false;
     }
@@ -524,8 +536,9 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     return false;  // stale path install
   }
   g->seq = seq;
-  AddLink(*g, upcall.prev_hop, seq);
-  AddLink(*g, upcall.next_hop.host, seq);
+  const IdTerm term(id);
+  AddLink(*g, upcall.prev_hop, seq, term);
+  AddLink(*g, upcall.next_hop.host, seq, term);
   return false;
 }
 
@@ -533,75 +546,73 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
 // Liveness: piggybacked hashes, timers, reconciliation.
 // ---------------------------------------------------------------------------
 
-void FuseNode::XorInto(Sha1Digest& digest, FuseId id) {
-  Sha1 h;
-  h.UpdateU64(id.hi);
-  h.UpdateU64(id.lo);
-  const Sha1Digest d = h.Finish();
+const Sha1Digest& FuseNode::IdTerm::get() const {
+  if (!term_.has_value()) {
+    Sha1 h;
+    h.UpdateU64(id_.hi);
+    h.UpdateU64(id_.lo);
+    term_ = h.Finish();
+  }
+  return *term_;
+}
+
+void FuseNode::XorInto(Sha1Digest& digest, const Sha1Digest& term) {
   for (size_t i = 0; i < digest.size(); ++i) {
-    digest[i] ^= d[i];
+    digest[i] ^= term[i];
   }
 }
 
-void FuseNode::AddLinkIndex(FuseId id, HostId peer) {
-  const auto [it, fresh_peer] = links_by_peer_.try_emplace(peer);
-  PeerLinks& pl = it->second;
-  if (pl.ids.insert(id).second) {
-    XorInto(pl.digest, id);
-  }
-  if (fresh_peer) {
-    // The new link's deadline is the earliest this peer can have. An install
-    // is not a confirmation, so last_refresh stays unset.
-    pl.sweep_at = transport_->env().Now() + params_.link_liveness_timeout;
-    ArmPeerSweep();
-  }
-}
-
-void FuseNode::EraseLinkIndex(FuseId id, HostId peer) {
+void FuseNode::EraseLinkIndex(FuseId id, HostId peer, const IdTerm& term) {
   const auto it = links_by_peer_.find(peer);
   if (it != links_by_peer_.end()) {
-    if (it->second.ids.erase(id) > 0) {
-      XorInto(it->second.digest, id);  // XOR is self-inverse: this removes it
+    if (it->second.links.Erase(id.hi, id.lo)) {
+      XorInto(it->second.digest, term.get());  // XOR is self-inverse: this removes it
     }
-    if (it->second.ids.empty()) {
+    if (it->second.links.empty()) {
       links_by_peer_.erase(it);
     }
   }
 }
 
-void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq) {
+void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq, const IdTerm& term) {
   if (peer == transport_->local_host() || !peer.valid()) {
     return;
   }
   const TimePoint now = transport_->env().Now();
-  LinkEntry* link = FindLink(g, peer);
-  if (link == nullptr) {
-    g.links.emplace_back();
-    link = &g.links.back();
-    link->peer = peer;
-    link->installed_at = now;
+  const auto [it, fresh_peer] = links_by_peer_.try_emplace(peer);
+  PeerLinks& pl = it->second;
+  const size_t before = pl.links.size();
+  LinkEntry& link = pl.links.FindOrInsert(g.id.hi, g.id.lo);
+  if (pl.links.size() != before) {
+    g.links.push_back(peer);
+    link.installed_at = now;
+    XorInto(pl.digest, term.get());
   }
-  link->seq = std::max(link->seq, seq);
+  link.seq = std::max(link.seq, seq);
   // An install or re-install restarts this link's deadline; the peer sweep
   // enforces it. A participant that just gained its first link no longer
   // needs the empty-links backstop.
-  link->refreshed_at = now;
-  AddLinkIndex(g.id, peer);
+  link.refreshed_at = now;
+  if (fresh_peer) {
+    // The new link's deadline is the earliest this peer can have. An install
+    // is not a confirmation, so last_refresh stays unset.
+    pl.sweep_at = now + params_.link_liveness_timeout;
+    ArmPeerSweep();
+  }
   if (g.is_root || g.is_member) {
     ArmBackstop(g);
   }
 }
 
-void FuseNode::RemoveLink(GroupState& g, HostId peer) {
-  for (auto it = g.links.begin(); it != g.links.end(); ++it) {
-    if (it->peer == peer) {
-      g.links.erase(it);
-      EraseLinkIndex(g.id, peer);
-      if (g.links.empty() && (g.is_root || g.is_member)) {
-        ArmBackstop(g);  // last link gone: fall back to the per-group backstop
-      }
-      return;
-    }
+void FuseNode::RemoveLink(GroupState& g, HostId peer, const IdTerm& term) {
+  const auto it = std::find(g.links.begin(), g.links.end(), peer);
+  if (it == g.links.end()) {
+    return;
+  }
+  g.links.erase(it);
+  EraseLinkIndex(g.id, peer, term);
+  if (g.links.empty() && (g.is_root || g.is_member)) {
+    ArmBackstop(g);  // last link gone: fall back to the per-group backstop
   }
 }
 
@@ -679,18 +690,16 @@ void FuseNode::SweepStalePeers() {
     // The peer's confirmation is stale, so each link lives until its own
     // last install plus the timeout.
     TimePoint next = now + timeout;
-    for (const FuseId& id : pl.ids) {
-      const GroupState* g = Find(id);
-      const LinkEntry* link = g == nullptr ? nullptr : FindLink(*g, peer);
-      if (link == nullptr) {
-        continue;
-      }
-      if (now - link->refreshed_at >= timeout) {
-        stale.emplace_back(peer, id);
+    const size_t first = stale.size();
+    pl.links.ForEach([&, peer = peer](uint64_t hi, uint64_t lo, const LinkEntry& link) {
+      if (now - link.refreshed_at >= timeout) {
+        stale.emplace_back(peer, FuseId{hi, lo});
       } else {
-        next = std::min(next, link->refreshed_at + timeout);
+        next = std::min(next, link.refreshed_at + timeout);
       }
-    }
+    });
+    // Tear this peer's links down in ID order, not probe order.
+    std::sort(stale.begin() + static_cast<std::ptrdiff_t>(first), stale.end());
     pl.sweep_at = next;
   }
   for (const auto& [peer, id] : stale) {
@@ -737,7 +746,7 @@ void FuseNode::OnOverlayNeighborFailed(HostId neighbor) {
   // into another neighbor failure, and each activation must own its
   // snapshot; the innermost one donates the capacity back on return).
   std::vector<FuseId> ids = std::move(fail_scratch_);
-  ids.assign(it->second.ids.begin(), it->second.ids.end());
+  SortedIds(it->second, ids);
   for (const FuseId& id : ids) {
     HandleLinkDown(id, neighbor);
   }
@@ -751,11 +760,10 @@ void FuseNode::HandleLinkDown(FuseId id, HostId peer) {
     return;
   }
   uint32_t seq = g->seq;
-  const LinkEntry* link = FindLink(*g, peer);
-  if (link != nullptr) {
+  if (const LinkEntry* link = FindLink(id, peer); link != nullptr) {
     seq = std::max(seq, link->seq);
   }
-  RemoveLink(*g, peer);
+  RemoveLink(*g, peer, IdTerm(id));
   SendSoftToTree(*g, peer, seq);
   if (g->is_member) {
     if (params_.attempt_repair) {
@@ -804,23 +812,24 @@ std::vector<uint8_t> FuseNode::EncodeLinkList(HostId neighbor) {
     w.PutU32(0);
     return w.Take();
   }
-  w.PutU32(static_cast<uint32_t>(it->second.ids.size()));
-  for (const FuseId& id : it->second.ids) {
+  const PeerLinks& pl = it->second;
+  std::vector<FuseId> ids;
+  SortedIds(pl, ids);
+  w.PutU32(static_cast<uint32_t>(ids.size()));
+  for (const FuseId& id : ids) {
+    const LinkEntry& link = *pl.links.Find(id.hi, id.lo);
     WriteFuseId(w, id);
-    const GroupState* g = Find(id);
-    uint32_t seq = 0;
-    uint64_t age_us = 0;
-    if (g != nullptr) {
-      const LinkEntry* link = FindLink(*g, neighbor);
-      if (link != nullptr) {
-        seq = link->seq;
-        age_us = static_cast<uint64_t>((now - link->installed_at).ToMicros());
-      }
-    }
-    w.PutU32(seq);
-    w.PutU64(age_us);
+    w.PutU32(link.seq);
+    w.PutU64(static_cast<uint64_t>((now - link.installed_at).ToMicros()));
   }
   return w.Take();
+}
+
+void FuseNode::SortedIds(const PeerLinks& pl, std::vector<FuseId>& out) {
+  out.clear();
+  out.reserve(pl.links.size());
+  pl.links.ForEach([&out](uint64_t hi, uint64_t lo, const LinkEntry&) { out.push_back({hi, lo}); });
+  std::sort(out.begin(), out.end());
 }
 
 void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
@@ -843,15 +852,13 @@ void FuseNode::ProcessRemoteLinkList(HostId neighbor, Reader& r) {
   if (it == links_by_peer_.end()) {
     return;
   }
-  const std::vector<FuseId> mine(it->second.ids.begin(), it->second.ids.end());
+  std::vector<FuseId> mine;
+  SortedIds(it->second, mine);
   const TimePoint now = transport_->env().Now();
   bool agreed = false;
   for (const FuseId& id : mine) {
-    GroupState* g = Find(id);
-    if (g == nullptr) {
-      continue;
-    }
-    LinkEntry* link = FindLink(*g, neighbor);
+    // Re-probe: an earlier teardown may have cascaded into this table.
+    const LinkEntry* link = FindLink(id, neighbor);
     if (link == nullptr) {
       continue;
     }
@@ -898,12 +905,12 @@ void FuseNode::OnReconcileReply(const WireMessage& msg) {
 
 void FuseNode::SendSoftToTree(GroupState& g, HostId except, uint32_t seq) {
   const PayloadBuf payload = EncodeIdSeq(g.id, seq);
-  for (const LinkEntry& link : g.links) {
-    if (link.peer == except) {
+  for (const HostId peer : g.links) {
+    if (peer == except) {
       continue;
     }
     WireMessage msg;
-    msg.to = link.peer;
+    msg.to = peer;
     msg.type = msgtype::kFuseSoftNotification;
     msg.category = MsgCategory::kFuseSoftNotification;
     msg.payload = payload;
@@ -941,10 +948,10 @@ void FuseNode::OnSoftNotification(const WireMessage& msg) {
   }
   SendSoftToTree(*g, msg.from, seq);
   if (g->is_member) {
-    RemoveLink(*g, msg.from);
+    RemoveLink(*g, msg.from, IdTerm(id));
     MemberInitiateRepair(*g);
   } else if (g->is_root) {
-    RemoveLink(*g, msg.from);
+    RemoveLink(*g, msg.from, IdTerm(id));
     RootScheduleRepair(id);
   } else {
     DropGroup(id, /*deliver_to_app=*/false);
@@ -1001,8 +1008,9 @@ void FuseNode::DropGroup(FuseId id, bool deliver_to_app) {
   // Releasing the pool slot below disarms every timer the group owns
   // (backstop, repair machinery); only the peer index needs explicit
   // maintenance.
-  for (const LinkEntry& link : g.links) {
-    EraseLinkIndex(id, link.peer);
+  const IdTerm term(id);
+  for (const HostId peer : g.links) {
+    EraseLinkIndex(id, peer, term);
   }
   const bool was_participant = g.is_root || g.is_member;
   FailureHandler handler = std::move(g.handler);
@@ -1197,16 +1205,10 @@ void FuseNode::OnRepairRequest(const WireMessage& msg) {
     MaybeTrimAux(*g);
   }
   // The old tree links are obsolete; the new InstallChecking re-creates them.
-  const std::vector<HostId> old_links = [&] {
-    std::vector<HostId> v;
-    v.reserve(g->links.size());
-    for (const LinkEntry& link : g->links) {
-      v.push_back(link.peer);
-    }
-    return v;
-  }();
-  for (HostId peer : old_links) {
-    RemoveLink(*g, peer);
+  const std::vector<HostId> old_links = g->links;
+  const IdTerm term(id);
+  for (const HostId peer : old_links) {
+    RemoveLink(*g, peer, term);
   }
   ArmBackstop(*g);
 

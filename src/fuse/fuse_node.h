@@ -25,7 +25,12 @@
 // Liveness cost per ping is O(1) in the number of groups on a link (paper
 // 7.5: steady-state cost must not grow with the group count). The piggyback
 // fingerprint is an XOR-of-SHA1 set digest maintained at link add/remove
-// time, not recomputed per ping. No group arms a timer on the healthy path:
+// time, not recomputed per ping. Each overlay neighbor owns one open-addressed
+// link table keyed by FUSE ID, so adding, removing, reconciling, or sweeping
+// links through a peer never goes through the group table; a group keeps only
+// its link peers, in install order. Enumerations whose order reaches the wire
+// or the event schedule sort a snapshot by FUSE ID first, so the table's
+// probe order never shows. No group arms a timer on the healthy path:
 // each link records its last install, each neighbor its last confirmation
 // (matching ping digest or reconcile agreement), and one earliest-deadline
 // sweep timer per node tears down every link whose deadline
@@ -40,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -111,7 +117,7 @@ class FuseNode {
   size_t NumMonitoredLinks() const {
     size_t n = 0;
     for (const auto& [peer, pl] : links_by_peer_) {
-      n += pl.ids.size();
+      n += pl.links.size();
     }
     return n;
   }
@@ -128,9 +134,10 @@ class FuseNode {
   // Armed FUSE-layer timers (backstop, repair, sweep): O(neighbors) plus
   // transient repair state, independent of the group count.
   size_t CountArmedGroupTimers() const;
-  // Oracle for the maintained digests: recomputes every per-peer digest from
-  // scratch and compares with the maintained value.
-  bool DebugVerifyLinkDigests() const;
+  // Oracle for the link index: every link a group lists is in that peer's
+  // table, every table entry belongs to a live group that lists the peer,
+  // and every per-peer digest equals a from-scratch recompute.
+  bool DebugVerifyLinkIndex() const;
 
   void Shutdown();
 
@@ -138,8 +145,9 @@ class FuseNode {
   // All timers below are RAII handles: dropping a CreatePending,
   // RepairPending, or GroupState disarms everything it owns, so the teardown
   // paths need no explicit cancellation bookkeeping.
+
+  // One monitored tree link, stored in its peer's table under the group's ID.
   struct LinkEntry {
-    HostId peer;
     uint32_t seq = 0;           // tree incarnation this link belongs to
     TimePoint installed_at;     // first install: the reconcile grace period
     TimePoint refreshed_at;     // last install or re-install: the deadline floor
@@ -190,10 +198,10 @@ class FuseNode {
     NodeRef root;               // valid on members
     std::vector<NodeRef> members;  // valid on the root (excludes the root)
 
-    // Liveness tree links this node monitors for the group, in install
-    // order. A group has a handful of links at most, so a linear scan beats
-    // a per-group hash table and keeps the state one small vector.
-    std::vector<LinkEntry> links;
+    // Peers of the liveness tree links this node monitors for the group, in
+    // install order (the order SoftNotifications fan out in). Each link's
+    // state lives in that peer's PeerLinks table.
+    std::vector<HostId> links;
 
     // Members/root: group-level liveness backstop (paper 6.2: "a timer ...
     // that will signal failure in the event of future communication
@@ -208,11 +216,13 @@ class FuseNode {
 
   using GroupRef = Pool<GroupState>::Ref;
 
-  // Per-neighbor liveness index: which groups ride on the link, their
-  // maintained XOR-of-SHA1 set digest, and the sweep's per-peer stamps.
+  // Per-neighbor liveness index: every link through the peer keyed by FUSE
+  // ID, their maintained XOR-of-SHA1 set digest, and the sweep's per-peer
+  // stamps.
   struct PeerLinks {
-    // Ordered so the reconcile link list is deterministic.
-    std::set<FuseId> ids;
+    // Probe order is not canonical: SortedIds gives the FUSE-ID order every
+    // enumeration that reaches the wire or the event schedule uses.
+    Flat128Map<LinkEntry> links;
     Sha1Digest digest{};
     // Last confirmation of every link through the peer: a matching ping
     // digest or a reconcile agreement. Installs do not count.
@@ -241,8 +251,21 @@ class FuseNode {
   void AppendPingPayload(HostId neighbor, Writer& w);
   void OnPingPayload(HostId neighbor, const uint8_t* data, size_t len);
   void OnOverlayNeighborFailed(HostId neighbor);
-  void AddLink(GroupState& g, HostId peer, uint32_t seq);
-  void RemoveLink(GroupState& g, HostId peer);
+  // SHA-1(hi || lo) of one FUSE ID: the term XorInto adds to or removes from
+  // a peer digest. Hashed on first use, so an operation that touches several
+  // links of one group shares one IdTerm and hashes the ID once.
+  class IdTerm {
+   public:
+    explicit IdTerm(FuseId id) : id_(id) {}
+    const Sha1Digest& get() const;
+
+   private:
+    FuseId id_;
+    mutable std::optional<Sha1Digest> term_;
+  };
+
+  void AddLink(GroupState& g, HostId peer, uint32_t seq, const IdTerm& term);
+  void RemoveLink(GroupState& g, HostId peer, const IdTerm& term);
   void ArmBackstop(GroupState& g);
   void HandleLinkDown(FuseId id, HostId peer);
   // One timer armed at the earliest per-peer sweep_at; firing rescans the
@@ -267,6 +290,8 @@ class FuseNode {
   void MaybeReconcile(HostId neighbor);
   std::vector<uint8_t> EncodeLinkList(HostId neighbor);
   void ProcessRemoteLinkList(HostId neighbor, Reader& r);
+  // The IDs in the peer's table, sorted, written into `out`.
+  static void SortedIds(const PeerLinks& pl, std::vector<FuseId>& out);
 
   // --- state management ---
   // Pointers returned by Find/Emplace are invalidated by the next Emplace
@@ -277,15 +302,13 @@ class FuseNode {
   const GroupState* Find(FuseId id) const;
   GroupState& Emplace(GroupState&& g);
   void DropGroup(FuseId id, bool deliver_to_app);
-  void EraseLinkIndex(FuseId id, HostId peer);
-  void AddLinkIndex(FuseId id, HostId peer);
-  LinkEntry* FindLink(GroupState& g, HostId peer);
-  const LinkEntry* FindLink(const GroupState& g, HostId peer) const;
+  void EraseLinkIndex(FuseId id, HostId peer, const IdTerm& term);
+  LinkEntry* FindLink(FuseId id, HostId peer);
   RepairAux& Aux(GroupState& g);
   void MaybeTrimAux(GroupState& g);
-  // XOR of SHA-1(hi || lo) into the digest: self-inverse, so the same call
-  // both adds and removes an id from the set fingerprint.
-  static void XorInto(Sha1Digest& digest, FuseId id);
+  // XORs an ID's term into the digest: self-inverse, so the same call both
+  // adds and removes the ID from the set fingerprint.
+  static void XorInto(Sha1Digest& digest, const Sha1Digest& term);
 
   Transport* transport_;
   SkipNetNode* overlay_;

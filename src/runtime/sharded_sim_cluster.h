@@ -34,8 +34,8 @@ class ShardedSimCluster : public ClusterHarness {
 
 // Backend dispatch on ClusterConfig::num_shards: 0 builds the classic
 // single-threaded SimCluster (bit-for-bit the traces every golden was blessed
-// against), >= 1 builds a ShardedSimCluster with that many shards and
-// ClusterConfig::threads workers. Note num_shards = 1 is the sharded engine
+// against), >= 1 builds a ShardedSimCluster with that many shards run by
+// ClusterConfig::threads threads (the control thread included). Note num_shards = 1 is the sharded engine
 // with one shard — same epoch machinery, different (valid) trace than the
 // classic backend.
 std::unique_ptr<ClusterHarness> MakeSimCluster(ClusterConfig config);

@@ -21,11 +21,9 @@ ShardedSim::ShardedSim(uint64_t seed, uint32_t num_shards, int threads)
   for (uint32_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(i, seed, num_shards));
   }
-  int workers = threads;
-  if (workers > static_cast<int>(num_shards)) {
-    workers = static_cast<int>(num_shards);
-  }
-  if (workers <= 1) {
+  // The control thread runs shards too, so the pool holds one fewer thread.
+  int workers = std::min(threads, static_cast<int>(num_shards)) - 1;
+  if (workers < 0) {
     workers = 0;  // run shards inline on the control thread
   }
   workers_.reserve(static_cast<size_t>(workers));
@@ -37,7 +35,7 @@ ShardedSim::ShardedSim(uint64_t seed, uint32_t num_shards, int threads)
 ShardedSim::~ShardedSim() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+    shutdown_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (std::thread& t : workers_) {
@@ -65,57 +63,77 @@ void ShardedSim::SetLookahead(Duration l) {
   lookahead_ = l;
 }
 
+template <typename Ready>
+void ShardedSim::SpinThenWait(std::condition_variable& cv, Ready ready) {
+  constexpr int kSpinIterations = 1 << 14;
+  for (int i = 0; i < kSpinIterations; ++i) {
+    if (ready()) {
+      return;
+    }
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  cv.wait(lock, ready);
+}
+
+void ShardedSim::RunClaimedShards(TimePoint end, bool inclusive) {
+  for (;;) {
+    const uint32_t i = next_shard_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= shards_.size()) {
+      return;
+    }
+    shards_[i]->RunEpoch(end, inclusive);
+  }
+}
+
 void ShardedSim::WorkerLoop() {
   uint64_t seen_gen = 0;
   for (;;) {
-    TimePoint target;
-    bool inclusive;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || epoch_gen_ != seen_gen; });
-      if (shutdown_) {
-        return;
-      }
-      seen_gen = epoch_gen_;
-      target = epoch_target_;
-      inclusive = epoch_inclusive_;
+    SpinThenWait(work_cv_, [&] {
+      return shutdown_.load(std::memory_order_acquire) ||
+             epoch_gen_.load(std::memory_order_acquire) != seen_gen;
+    });
+    if (shutdown_.load(std::memory_order_acquire)) {
+      return;
     }
-    for (;;) {
-      const uint32_t i = next_shard_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= shards_.size()) {
-        break;
-      }
-      shards_[i]->RunEpoch(target, inclusive);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (++workers_done_ == workers_.size()) {
-        done_cv_.notify_one();
-      }
+    seen_gen = epoch_gen_.load(std::memory_order_acquire);
+    RunClaimedShards(epoch_target_, epoch_inclusive_);
+    if (workers_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == workers_.size()) {
+      { std::lock_guard<std::mutex> lock(mu_); }
+      done_cv_.notify_one();
     }
   }
 }
 
 void ShardedSim::RunShards(TimePoint end, bool inclusive) {
-  if (workers_.empty()) {
+  // Epochs where at most one shard has work run inline: waking the pool
+  // would cost more than the epoch itself.
+  size_t busy = 0;
+  for (size_t i = 0; i < shards_.size() && !workers_.empty() && busy <= 1; ++i) {
+    const TimePoint t = shards_[i]->NextEventTime();
+    busy += (inclusive ? t <= end : t < end) ? 1 : 0;
+  }
+  if (busy <= 1) {
     for (auto& s : shards_) {
       s->RunEpoch(end, inclusive);
     }
     return;
   }
+  epoch_target_ = end;
+  epoch_inclusive_ = inclusive;
+  next_shard_.store(0, std::memory_order_relaxed);
+  workers_done_.store(0, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    epoch_target_ = end;
-    epoch_inclusive_ = inclusive;
-    next_shard_.store(0, std::memory_order_relaxed);
-    workers_done_ = 0;
-    ++epoch_gen_;
+    epoch_gen_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return workers_done_ == workers_.size(); });
-  }
+  RunClaimedShards(end, inclusive);
+  SpinThenWait(done_cv_, [&] {
+    return workers_done_.load(std::memory_order_acquire) == workers_.size();
+  });
 }
 
 void ShardedSim::InjectOutboxes(TimePoint barrier) {

@@ -47,9 +47,10 @@ namespace fuse {
 
 class ShardedSim : public Environment {
  public:
-  // `threads` is the worker pool size; it is clamped to [0, num_shards] and
-  // <= 1 means every shard runs inline on the control thread (no worker
-  // threads at all — the degenerate case used by --threads=1 runs).
+  // `threads` is how many threads execute shards, the control thread
+  // included; it is clamped to [1, num_shards], and 1 means every shard runs
+  // inline on the control thread (no worker threads at all — the degenerate
+  // case used by --threads=1 runs).
   ShardedSim(uint64_t seed, uint32_t num_shards, int threads);
   ~ShardedSim() override;
 
@@ -68,7 +69,7 @@ class ShardedSim : public Environment {
   Metrics& metrics() override;
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
-  int threads() const { return static_cast<int>(workers_.size()); }
+  int threads() const { return static_cast<int>(workers_.size()) + 1; }
   Shard& shard(uint32_t i) { return *shards_[i]; }
 
   // The conservative lookahead. Starts at a floor of the same-router hop
@@ -93,9 +94,15 @@ class ShardedSim : public Environment {
 
  private:
   // Runs one parallel phase: every shard executes [its now, end) — or [.., end]
-  // when `inclusive` — then the calling (control) thread blocks until all are
-  // done.
+  // when `inclusive`. The control thread claims shards alongside the workers,
+  // then waits until all are done.
   void RunShards(TimePoint end, bool inclusive);
+  // Claims and runs shards of the current epoch until none is left.
+  void RunClaimedShards(TimePoint end, bool inclusive);
+  // Spins on `ready` for a short while, then blocks on `cv` under mu_. An
+  // epoch is often a few microseconds of work, far less than a futex wake.
+  template <typename Ready>
+  void SpinThenWait(std::condition_variable& cv, Ready ready);
   // Barrier work: sync the control clock, inject outboxes, replay upcalls.
   void DrainBarrier(TimePoint t);
   void InjectOutboxes(TimePoint barrier);
@@ -113,21 +120,24 @@ class ShardedSim : public Environment {
   TimePoint now_;
   bool lookahead_frozen_ = false;
 
-  // Worker pool. Epoch dispatch: the control thread publishes (target,
-  // inclusive, generation) under mu_ and wakes the workers; workers claim
-  // shards via next_shard_ and report completion under mu_. Both directions
-  // synchronize through mu_, so shard state written in epoch N
-  // happens-before barrier reads and epoch N+1 execution.
+  // Worker pool. Epoch dispatch: the control thread writes (target,
+  // inclusive), then bumps the generation under mu_ (release) and wakes any
+  // sleeping worker; workers claim shards via next_shard_ and count
+  // themselves done (acq_rel), the last one taking mu_ before it wakes the
+  // control thread. The release/acquire pairs on epoch_gen_ and
+  // workers_done_ order shard state written in epoch N before barrier reads
+  // and epoch N+1 execution; bumping and finishing under mu_ keeps a waiter
+  // that checked its predicate from missing the wake.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  uint64_t epoch_gen_ = 0;
+  std::atomic<uint64_t> epoch_gen_{0};
   TimePoint epoch_target_;
   bool epoch_inclusive_ = false;
   std::atomic<uint32_t> next_shard_{0};
-  size_t workers_done_ = 0;
-  bool shutdown_ = false;
+  std::atomic<size_t> workers_done_{0};
+  std::atomic<bool> shutdown_{false};
 
   // Scratch for barrier merging (reused across epochs).
   struct MergeEntry {

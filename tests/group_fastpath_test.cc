@@ -51,18 +51,19 @@ FuseId CreateGroupSync(SimCluster& cluster, size_t root, const std::vector<size_
   return id;
 }
 
-void ExpectDigestsVerify(SimCluster& cluster) {
+void ExpectLinkIndexVerifies(SimCluster& cluster) {
   for (size_t i = 0; i < cluster.size(); ++i) {
     if (cluster.IsUp(i)) {
-      EXPECT_TRUE(cluster.node(i).fuse()->DebugVerifyLinkDigests()) << "node " << i;
+      EXPECT_TRUE(cluster.node(i).fuse()->DebugVerifyLinkIndex()) << "node " << i;
     }
   }
 }
 
-// Oracle test for the incremental digest: after arbitrary interleavings of
-// group creation, explicit signals, crashes, and repair traffic, every
-// node's maintained per-peer digest must equal a from-scratch recompute of
-// XOR(SHA-1(id)) over its live link set.
+// Oracle test for the link index and its incremental digests: after
+// arbitrary interleavings of group creation, explicit signals, crashes, and
+// repair traffic, every node's per-peer link tables must agree with its
+// groups' link lists in both directions, and every maintained digest must
+// equal a from-scratch recompute of XOR(SHA-1(id)) over the peer's table.
 TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
   SimCluster cluster(FastPathConfig(12, 501));
   cluster.Build();
@@ -86,12 +87,12 @@ TEST(IncrementalDigestTest, MatchesRecomputeUnderRandomChurn) {
       cluster.node(signalers[0]).fuse()->SignalFailure(id);
     }
     cluster.sim().RunFor(Duration::Seconds(5));
-    ExpectDigestsVerify(cluster);
+    ExpectLinkIndexVerifies(cluster);
   }
-  // A crash exercises the teardown + repair paths' digest maintenance.
+  // A crash exercises the teardown + repair paths' index maintenance.
   cluster.Crash(3);
   cluster.sim().RunFor(Duration::Minutes(5));
-  ExpectDigestsVerify(cluster);
+  ExpectLinkIndexVerifies(cluster);
 }
 
 // The fault-schedule oracle stays green on the sweep's detection timing.
@@ -173,6 +174,9 @@ TEST(CoalescedTimersTest, ArmedTimersStayFlatAndCrashIsDetected) {
       EXPECT_EQ((fired[{gi, m}]), 1) << "group " << gi << " member " << m;
     }
   }
+  // Detection tore links down through the sweep, soft notifications and
+  // repair; the surviving tables and group link lists still agree.
+  ExpectLinkIndexVerifies(cluster);
 }
 
 // After every group is gone the sweep disarms itself: a node with no
