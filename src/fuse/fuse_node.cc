@@ -370,9 +370,7 @@ void FuseNode::SignalFailure(FuseId id) {
     return;
   }
   if (g->is_member) {
-    SendHard(id, g->root.host);
-    SendSoftToTree(*g, HostId(), g->seq);
-    DeliverLocalFailure(id);
+    MemberFailGroup(*g);
     return;
   }
   // Delegate-only state: applications on pure delegates hold no group state;
@@ -494,11 +492,6 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     if (it != creating_.end()) {
       if (seq == 0) {
         it->second.installed_early.insert(member.name);
-        // Monitor the last hop once the root state exists; easiest is to
-        // defer by re-adding on completion — record via a synthetic pending
-        // link. We instead install the link immediately after create
-        // completes by re-walking installed_early; the prev hop is stored
-        // alongside.
         it->second.early_links.push_back(upcall.prev_hop);
       }
       return false;
@@ -969,15 +962,8 @@ void FuseNode::OnHardNotification(const WireMessage& msg) {
     return;  // already gone: exactly-once behavior
   }
   if (g->is_root) {
-    // Forward to every other member, clean the liveness tree, notify the
-    // local application (paper 6.4, Figure 4).
-    for (const auto& m : g->members) {
-      if (m.host != msg.from) {
-        SendHard(id, m.host);
-      }
-    }
-    SendSoftToTree(*g, HostId(), g->seq);
-    DeliverLocalFailure(id);
+    // Forward to every other member (paper 6.4, Figure 4).
+    RootFailGroup(*g, msg.from);
     return;
   }
   if (g->is_member) {
@@ -987,11 +973,20 @@ void FuseNode::OnHardNotification(const WireMessage& msg) {
   DropGroup(id, /*deliver_to_app=*/false);
 }
 
-void FuseNode::RootFailGroup(GroupState& g) {
+void FuseNode::RootFailGroup(GroupState& g, HostId except) {
   const FuseId id = g.id;
   for (const auto& m : g.members) {
-    SendHard(id, m.host);
+    if (m.host != except) {
+      SendHard(id, m.host);
+    }
   }
+  SendSoftToTree(g, HostId(), g.seq);
+  DeliverLocalFailure(id);
+}
+
+void FuseNode::MemberFailGroup(GroupState& g) {
+  const FuseId id = g.id;
+  SendHard(id, g.root.host);
   SendSoftToTree(g, HostId(), g.seq);
   DeliverLocalFailure(id);
 }
@@ -1039,7 +1034,6 @@ void FuseNode::MemberInitiateRepair(GroupState& g) {
   msg.type = msgtype::kFuseNeedRepair;
   msg.category = MsgCategory::kFuseNeedRepair;
   msg.payload = EncodeIdSeq(id, g.seq);
-  const HostId root_host = g.root.host;
   // Arm the timer before issuing the send: when the root's connection is
   // already gone, Send invokes the error callback synchronously, which fails
   // the group and frees this GroupState — touching `g` after Send would be a
@@ -1051,23 +1045,18 @@ void FuseNode::MemberInitiateRepair(GroupState& g) {
     // No repair response from the root within a minute (paper 6.5 / 7.4):
     // signal locally, best-effort Hard to the root, clean up.
     GroupState* grp = Find(id);
-    if (grp == nullptr) {
-      return;
+    if (grp != nullptr) {
+      MemberFailGroup(*grp);
     }
-    SendHard(id, grp->root.host);
-    SendSoftToTree(*grp, HostId(), grp->seq);
-    DeliverLocalFailure(id);
   });
-  transport_->Send(std::move(msg), [this, id, root_host](const Status& s) {
+  transport_->Send(std::move(msg), [this, id](const Status& s) {
     if (s.ok()) {
       return;
     }
     // Root unreachable (broken connection): treat as group failure (6.1).
     GroupState* grp = Find(id);
     if (grp != nullptr && grp->is_member) {
-      SendHard(id, root_host);
-      SendSoftToTree(*grp, HostId(), grp->seq);
-      DeliverLocalFailure(id);
+      MemberFailGroup(*grp);
     }
   });
 }

@@ -276,7 +276,10 @@ class FuseNode {
   // --- notifications ---
   void SendSoftToTree(GroupState& g, HostId except, uint32_t seq);
   void SendHard(FuseId id, HostId to);
-  void RootFailGroup(GroupState& g);        // Hard to all members + local app
+  // Hard to every member but `except`, Soft down the tree, local upcall.
+  void RootFailGroup(GroupState& g, HostId except = HostId());
+  // Hard to the root, Soft down the tree, local upcall.
+  void MemberFailGroup(GroupState& g);
   void DeliverLocalFailure(FuseId id);      // invoke handler + teardown
 
   // --- repair ---

@@ -28,11 +28,13 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/serialize.h"
 #include "common/time.h"
+#include "sim/environment.h"
 
 namespace fuse {
 
@@ -135,6 +137,37 @@ class FaultInjector {
   std::vector<LossBurst> loss_bursts_;
   std::unordered_map<HostId, Duration> reorder_jitter_;
   Duration global_reorder_jitter_;
+};
+
+// Per-host Environment facade over a base environment (the simulation, or
+// the host's shard) implementing the clock-rate rule: Schedule() durations are
+// divided by the host's rate (rate 2.0 = the host's timers fire in half the
+// nominal time, so it pings and declares timeouts early), while Now() stays
+// the base's. This models relative timer-rate drift — the QoS-relevant effect
+// — without forking the timeline. At the default rate 1.0 the facade is a
+// pure passthrough, so schedules without skew rules are bit-identical to runs
+// predating it.
+class SkewedHostEnv final : public Environment {
+ public:
+  SkewedHostEnv(Environment& base, const FaultInjector& faults, HostId host)
+      : base_(base), faults_(faults), host_(host) {}
+
+  TimePoint Now() const override { return base_.Now(); }
+  TimerId Schedule(Duration d, UniqueFunction fn) override {
+    const double rate = faults_.ClockRate(host_);
+    if (rate == 1.0) {
+      return base_.Schedule(d, std::move(fn));
+    }
+    return base_.Schedule(d * (1.0 / rate), std::move(fn));
+  }
+  bool Cancel(TimerId id) override { return base_.Cancel(id); }
+  Rng& rng() override { return base_.rng(); }
+  Metrics& metrics() override { return base_.metrics(); }
+
+ private:
+  Environment& base_;
+  const FaultInjector& faults_;
+  const HostId host_;
 };
 
 }  // namespace fuse

@@ -45,9 +45,11 @@ struct SkipNetConfig {
   // harness defers it until the whole overlay is built).
   bool start_maintenance_on_join = true;
   // Batch all of a node's periodic pings behind one timer pair instead of
-  // two timers per neighbor (see PingManager). Off by default: flipping it
-  // changes the schedule, and the blessed deterministic traces were recorded
-  // without it. Large-scale benches turn it on.
+  // two timers per neighbor (see PingManager). Off by default: with it on,
+  // one coalesced round timeout can declare a whole crashed machine's arc of
+  // neighbours dead at once, and the sim_groups benchmark then sees false
+  // notifications (ROADMAP, "No false notifications after a machine crash,
+  // part 2"). Large-scale benches turn it on.
   bool coalesce_pings = false;
 };
 

@@ -46,9 +46,8 @@ class LiveDeployment : public LoopDeployment {
   }
 
   Transport* CreateHost(size_t index) override {
-    LiveTransport* inproc = runtime_->CreateHost();
     if (transport_ == TransportKind::kInProcess) {
-      return inproc;
+      return runtime_->CreateHost();
     }
 #if defined(__linux__)
     // Real-transport mode: every *machine* gets one fabric (socket set +
@@ -56,8 +55,8 @@ class LiveDeployment : public LoopDeployment {
     // so inter-machine traffic crosses actual loopback sockets instead of the
     // in-memory queue — the single-process analogue of a multi-tenant worker
     // process. Hosts are created in index order, so a machine's fabric comes
-    // up with its first host.
-    const HostId h = inproc->local_host();
+    // up with its first host, and host ids are the indices.
+    const HostId h(index);
     const size_t m = static_cast<size_t>(placement_.MachineOf(index));
     Transport* t = nullptr;
     runtime_->RunOnLoop([&] {
@@ -88,7 +87,7 @@ class LiveDeployment : public LoopDeployment {
     });
     return t;
 #else
-    return inproc;
+    return nullptr;  // unreachable: the constructor admits only kInProcess here
 #endif
   }
 
@@ -97,17 +96,18 @@ class LiveDeployment : public LoopDeployment {
     // dispatch table empties like a process that vanished (a restarted node
     // re-registers, as in the paper's stable-storage-free recovery).
     runtime_->SetHostDown(h, true);
-    runtime_->UnregisterAllHandlers(h);
 #if defined(__linux__)
     if (!fabrics_.empty()) {
       runtime_->RunOnLoop([&] {
         for (auto& e : fabrics_) {
           e.fabric->faults().SetHostDown(h, true);
         }
-        FabricOf(h)->UnregisterAllHandlers(h);
+        FabricOf(h)->TransportFor(h)->UnregisterAllHandlers();
       });
+      return;
     }
 #endif
+    runtime_->TransportFor(h)->UnregisterAllHandlers();
   }
 
   void RestartHost(HostId h) override {

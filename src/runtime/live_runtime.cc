@@ -243,11 +243,17 @@ void LiveRuntime::UnwatchFd(int) {
 
 #endif  // FUSE_LIVE_RUNTIME_EPOLL
 
-LiveTransport* LiveRuntime::CreateHost() {
+Transport* LiveRuntime::CreateHost() {
   std::lock_guard<std::mutex> lock(mu_);
   const HostId id(hosts_.size());
-  hosts_.push_back(std::make_unique<LiveTransport>(this, id));
+  hosts_.push_back(std::make_unique<Transport>(id, *this, this, &mu_));
   return hosts_.back().get();
+}
+
+Transport* LiveRuntime::TransportFor(HostId h) {
+  std::lock_guard<std::mutex> lock(mu_);
+  FUSE_CHECK(h.value < hosts_.size()) << "no in-process host " << h.value;
+  return hosts_[h.value].get();
 }
 
 bool LiveRuntime::RunOnLoop(std::function<void()> fn) {
@@ -297,7 +303,7 @@ void LiveRuntime::SetHostDown(HostId h, bool down) {
   ApplyFaults([h, down](FaultInjector& f) { f.SetHostDown(h, down); });
 }
 
-void LiveRuntime::Send(WireMessage msg, Transport::SendCallback cb) {
+void LiveRuntime::SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) {
   bool lost;
   Duration latency;
   {
@@ -308,12 +314,12 @@ void LiveRuntime::Send(WireMessage msg, Transport::SendCallback cb) {
     // race the ping-jitter draws protocol code makes through env().rng()).
     std::lock_guard<std::mutex> lock(mu_);
     metrics_.IncMessage(msg.category, msg.WireSize());
-    lost = faults_.IsBlocked(msg.from, msg.to) || send_rng_.Bernoulli(config_.loss_probability);
+    lost = faults_.IsBlocked(from, msg.to) || send_rng_.Bernoulli(config_.loss_probability);
     latency = Duration::Micros(send_rng_.UniformInt(config_.min_latency.ToMicros(),
                                                     config_.max_latency.ToMicros()));
     // Slow-but-alive rules stretch the one-way latency; the same term feeds
     // the loss-timeout path below, mirroring the sim fabric's inflated RTO.
-    latency += faults_.ExtraDelay(msg.from, msg.to);
+    latency += faults_.ExtraDelay(from, msg.to);
   }
   if (lost) {
     // Reliable-transport semantics: the sender eventually learns the send
@@ -327,7 +333,7 @@ void LiveRuntime::Send(WireMessage msg, Transport::SendCallback cb) {
   const HostId to = msg.to;
   // mutable: the inner Schedule below genuinely moves `cb` out.
   Schedule(latency, [this, msg = std::move(msg), to, latency, cb = std::move(cb)]() mutable {
-    Transport::Handler handler;
+    Transport* dest = nullptr;
     bool dropped = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -336,15 +342,12 @@ void LiveRuntime::Send(WireMessage msg, Transport::SendCallback cb) {
       // for the sim fabric's per-attempt checks.
       if (faults_.IsBlocked(msg.from, to)) {
         dropped = true;
-      } else {
-        const uint8_t slot = MsgTypeSlot(msg.type);
-        if (to.value < handlers_.size() && slot < handlers_[to.value].size()) {
-          handler = handlers_[to.value][slot];
-        }
+      } else if (to.value < hosts_.size()) {
+        dest = hosts_[to.value].get();
       }
     }
-    if (!dropped && handler) {
-      handler(msg);
+    if (dest != nullptr) {
+      dest->Dispatch(msg);
     }
     // The ack reports the delivery outcome: Ok only when the message reached
     // the destination host (dispatched, or delivered-and-ignored for an
@@ -358,37 +361,5 @@ void LiveRuntime::Send(WireMessage msg, Transport::SendCallback cb) {
     }
   });
 }
-
-void LiveRuntime::RegisterHandler(HostId h, uint16_t type, Transport::Handler handler) {
-  const uint8_t slot = MsgTypeSlot(type);
-  FUSE_CHECK(slot != 0) << "unknown message type " << type
-                        << " (add it to msgtype::kAllTypes)";
-  std::lock_guard<std::mutex> lock(mu_);
-  if (h.value >= handlers_.size()) {
-    handlers_.resize(h.value + 1);
-  }
-  if (handlers_[h.value].size() < msgtype::kNumSlots) {
-    handlers_[h.value].resize(msgtype::kNumSlots);
-  }
-  handlers_[h.value][slot] = std::move(handler);
-}
-
-void LiveRuntime::UnregisterAllHandlers(HostId h) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (h.value < handlers_.size()) {
-    handlers_[h.value].clear();
-  }
-}
-
-void LiveTransport::Send(WireMessage msg, SendCallback cb) {
-  msg.from = host_;
-  runtime_->Send(std::move(msg), std::move(cb));
-}
-
-void LiveTransport::RegisterHandler(uint16_t type, Handler handler) {
-  runtime_->RegisterHandler(host_, type, std::move(handler));
-}
-
-void LiveTransport::UnregisterAllHandlers() { runtime_->UnregisterAllHandlers(host_); }
 
 }  // namespace fuse

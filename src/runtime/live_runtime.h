@@ -15,12 +15,13 @@
 // threads. On other platforms a plain condition-variable timer loop is kept
 // (WatchFd is unavailable there).
 //
-// In-process message delivery (LiveTransport) is retained for the
-// single-process LiveCluster backend. Fault semantics are expressed through
-// the same FaultInjector rule set the simulator fabric consults (host down,
-// blocked pairs, partitions), evaluated under the loop lock on every send AND
-// at delivery time; the sender's callback reports what actually happened (Ok
-// only if the message was dispatched, Broken when a fault dropped it).
+// In-process message delivery (the runtime is itself a TransportLayer) is
+// retained for the single-process LiveCluster backend. Fault semantics are
+// expressed through the same FaultInjector rule set the simulator fabric
+// consults (host down, blocked pairs, partitions), evaluated under the loop
+// lock on every send AND at delivery time; the sender's callback reports what
+// actually happened (Ok only if the message was dispatched, Broken when a
+// fault dropped it).
 #ifndef FUSE_RUNTIME_LIVE_RUNTIME_H_
 #define FUSE_RUNTIME_LIVE_RUNTIME_H_
 
@@ -43,9 +44,7 @@
 
 namespace fuse {
 
-class LiveTransport;
-
-class LiveRuntime : public Environment {
+class LiveRuntime final : public Environment, public TransportLayer {
  public:
   struct Config {
     uint64_t seed = 1;
@@ -74,8 +73,12 @@ class LiveRuntime : public Environment {
   Rng& rng() override { return rng_; }
   Metrics& metrics() override { return metrics_; }
 
-  // Creates a transport endpoint for a new host.
-  LiveTransport* CreateHost();
+  // Creates an in-process transport endpoint for a new host (ids are handed
+  // out sequentially from 0). Its handler table is guarded by the loop lock,
+  // so handlers may be registered from any thread.
+  Transport* CreateHost();
+  // The endpoint CreateHost made for `h`.
+  Transport* TransportFor(HostId h);
 
   // Runs `fn` on the loop thread and waits for it to finish. Calling from the
   // loop thread itself runs `fn` inline (protocol callbacks may re-enter the
@@ -110,10 +113,8 @@ class LiveRuntime : public Environment {
   // (never again fired) timer store, RunOnLoop returns false immediately.
   void Stop();
 
-  // --- used by LiveTransport ---
-  void Send(WireMessage msg, Transport::SendCallback cb);
-  void RegisterHandler(HostId h, uint16_t type, Transport::Handler handler);
-  void UnregisterAllHandlers(HostId h);
+  // In-process delivery; callable from any thread.
+  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
  private:
   // Blocking state for one cross-thread RunOnLoop call. Shared between the
@@ -154,10 +155,9 @@ class LiveRuntime : public Environment {
   // wrapper's timer seq. Stop() signals the survivors after joining the loop.
   std::unordered_map<uint64_t, std::shared_ptr<MarshalState>> pending_marshals_;
 
-  std::vector<std::unique_ptr<LiveTransport>> hosts_;
-  // Dense by HostId (CreateHost hands out sequential ids); each host's
-  // dispatch table is a flat array indexed by MsgTypeSlot(type).
-  std::vector<std::vector<Transport::Handler>> handlers_;
+  // Dense by HostId (CreateHost hands out sequential ids). Guarded by mu_,
+  // which also guards each endpoint's handler table.
+  std::vector<std::unique_ptr<Transport>> hosts_;
   // The full fault vocabulary (down hosts, blocked pairs, partitions),
   // shared with the sim fabric. Guarded by mu_.
   FaultInjector faults_;
@@ -171,21 +171,6 @@ class LiveRuntime : public Environment {
 
   std::thread thread_;
   std::thread::id loop_id_;
-};
-
-class LiveTransport : public Transport {
- public:
-  LiveTransport(LiveRuntime* runtime, HostId host) : runtime_(runtime), host_(host) {}
-
-  void Send(WireMessage msg, SendCallback cb) override;
-  void RegisterHandler(uint16_t type, Handler handler) override;
-  void UnregisterAllHandlers() override;
-  HostId local_host() const override { return host_; }
-  Environment& env() override { return *runtime_; }
-
- private:
-  LiveRuntime* runtime_;
-  HostId host_;
 };
 
 }  // namespace fuse

@@ -164,7 +164,7 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
       const auto it = nodes.find(host);
       FUSE_CHECK(it != nodes.end()) << "worker " << widx << ": kill of unknown node " << host;
       it->second->ShutdownAll();
-      fabric->UnregisterAllHandlers(HostId(host));
+      fabric->TransportFor(HostId(host))->UnregisterAllHandlers();
       fabric->faults().SetHostDown(HostId(host), true);
       graveyard.push_back(std::move(it->second));
       nodes.erase(it);
@@ -216,6 +216,18 @@ void Worker::HandleCommand(const uint8_t* data, size_t len) {
         w.PutU64(id.lo);
         SendFrameTo(ctrl, w);
       });
+      break;
+    }
+    case kCmdSignal: {
+      const uint64_t host = r.GetU64();
+      FuseId id;
+      id.hi = r.GetU64();
+      id.lo = r.GetU64();
+      // A node killed in place has nothing left to signal.
+      const auto it = nodes.find(host);
+      if (it != nodes.end()) {
+        it->second->fuse()->SignalFailure(id);
+      }
       break;
     }
     case kCmdStats: {
@@ -556,6 +568,18 @@ class ProcessDeployment : public LoopDeployment {
     watches_[std::make_tuple(id.hi, id.lo, h.value)].push_back(std::move(on_fire));
     Writer w;
     w.PutU8(kCmdWatch);
+    w.PutU64(h.value);
+    w.PutU64(id.hi);
+    w.PutU64(id.lo);
+    SendTo(widx_of(h), w);
+  }
+
+  void SendSignal(HostId h, FuseId id) {
+    if (!WorkerUsable(widx_of(h))) {
+      return;  // no process left to signal from
+    }
+    Writer w;
+    w.PutU8(kCmdSignal);
     w.PutU64(h.value);
     w.PutU64(id.hi);
     w.PutU64(id.lo);
@@ -1122,6 +1146,10 @@ void ProcessCluster::CreateGroupInContext(size_t root, std::vector<NodeRef> memb
 void ProcessCluster::WatchGroupMemberInContext(size_t m, FuseId id,
                                                std::function<void()> on_fire) {
   pd_->SendWatch(hosts_[m], id, std::move(on_fire));
+}
+
+void ProcessCluster::SignalGroupInContext(size_t node, FuseId id) {
+  pd_->SendSignal(hosts_[node], id);
 }
 
 std::vector<std::map<std::string, uint64_t>> ProcessCluster::TransportCountersByMachine() {

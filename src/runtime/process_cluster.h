@@ -106,6 +106,7 @@ class ProcessCluster : public ClusterHarness {
   void CreateGroupInContext(size_t root, std::vector<NodeRef> members,
                             std::function<void(const Status&, FuseId)> cb) override;
   void WatchGroupMemberInContext(size_t m, FuseId id, std::function<void()> on_fire) override;
+  void SignalGroupInContext(size_t node, FuseId id) override;
 
   // Transport event counters (syscalls, datagrams, retransmits, dedupe
   // suppressions) summed across all live workers, keyed by CounterName.

@@ -63,27 +63,12 @@ uint64_t SrcKey(const sockaddr_in& src) {
 
 }  // namespace
 
-// --- DatagramTransport ----------------------------------------------------
-
-void DatagramTransport::Send(WireMessage msg, SendCallback cb) {
-  msg.from = host_;
-  fabric_->SendFrom(host_, std::move(msg), std::move(cb));
-}
-
-void DatagramTransport::RegisterHandler(uint16_t type, Handler handler) {
-  fabric_->RegisterHandler(host_, type, std::move(handler));
-}
-
-void DatagramTransport::UnregisterAllHandlers() { fabric_->UnregisterAllHandlers(host_); }
-
-Environment& DatagramTransport::env() { return fabric_->env(); }
-
 // --- DatagramFabric: setup ------------------------------------------------
 
 DatagramFabric::DatagramFabric(LiveRuntime* rt) : DatagramFabric(rt, Options()) {}
 
 DatagramFabric::DatagramFabric(LiveRuntime* rt, Options opts)
-    : rt_(rt), opts_(opts), rng_(opts.seed) {
+    : Fabric(rt), opts_(opts), rng_(opts.seed) {
   stats_.min_cwnd = opts_.cwnd_max;
   flush_timer_.Bind(*rt_);
   rto_timer_.Bind(*rt_);
@@ -120,48 +105,9 @@ uint16_t DatagramFabric::Listen() {
   return port_;
 }
 
-DatagramTransport* DatagramFabric::TransportFor(HostId local) {
-  auto& t = locals_[local.value];
-  if (t == nullptr) {
-    t = std::make_unique<DatagramTransport>(this, local);
-  }
-  return t.get();
-}
-
-void DatagramFabric::RegisterHandler(HostId h, uint16_t type, Transport::Handler handler) {
-  const uint8_t slot = MsgTypeSlot(type);
-  FUSE_CHECK(slot != 0) << "unknown message type " << type
-                        << " (add it to msgtype::kAllTypes)";
-  auto& table = handlers_[h.value];
-  if (table.size() < msgtype::kNumSlots) {
-    table.resize(msgtype::kNumSlots);
-  }
-  table[slot] = std::move(handler);
-}
-
-void DatagramFabric::UnregisterAllHandlers(HostId h) { handlers_.erase(h.value); }
-
 void DatagramFabric::FailSend(Transport::SendCallback cb, const char* why) {
   stats_.broken_sends++;
-  if (!cb) {
-    return;
-  }
-  // Deferred, so callbacks never run inside the Send/flush call stack that
-  // is mutating peer state.
-  rt_->Schedule(Duration::Zero(),
-                [cb = std::move(cb), why] { cb(Status::Broken(why)); });
-}
-
-bool DatagramFabric::DispatchLocal(const WireMessage& msg) {
-  const auto it = handlers_.find(msg.to.value);
-  if (it == handlers_.end()) {
-    return locals_.contains(msg.to.value);  // delivered-and-ignored is still a delivery
-  }
-  const uint8_t slot = MsgTypeSlot(msg.type);
-  if (slot < it->second.size() && it->second[slot]) {
-    it->second[slot](msg);
-  }
-  return true;
+  FailLater(std::move(cb), why);
 }
 
 // --- DatagramFabric: send path --------------------------------------------
@@ -179,18 +125,8 @@ DatagramFabric::PeerState* DatagramFabric::PeerFor(HostId to) {
 void DatagramFabric::SendFrom(HostId /*from*/, WireMessage msg, Transport::SendCallback cb) {
   rt_->metrics().IncMessage(msg.category, msg.WireSize());
   if (IsLocal(msg.to)) {
-    // Same-process destination: no datagram involved. Dispatch through the
-    // loop (async like the wire) with a delivery-time fault re-check,
-    // mirroring the socket fabric's local path.
-    rt_->Schedule(Duration::Zero(), [this, msg = std::move(msg), cb = std::move(cb)] {
-      bool delivered = false;
-      if (!faults_.IsBlocked(msg.from, msg.to)) {
-        delivered = DispatchLocal(msg);
-      }
-      if (cb) {
-        cb(delivered ? Status::Ok() : Status::Broken("datagram: fault rules"));
-      }
-    });
+    // Same-process destination: no datagram involved.
+    SendLocal(std::move(msg), std::move(cb), "datagram: fault rules");
     return;
   }
   if (!addrs_.Contains(msg.to)) {
@@ -548,7 +484,7 @@ void DatagramFabric::HandleDatagram(const uint8_t* data, size_t len, const socka
 
       // Receiver-side rule check: a partition applied while the datagram was
       // in flight silently refuses it — no ack, so the sender retransmits.
-      if (faults_.IsBlocked(msg.from, msg.to) || !locals_.contains(msg.to.value)) {
+      if (faults_.IsBlocked(msg.from, msg.to) || !IsLocal(msg.to)) {
         continue;
       }
       RecvState& rs = recv_[session][msg.to.value];

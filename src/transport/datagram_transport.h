@@ -55,22 +55,6 @@ namespace fuse {
 
 class DatagramFabric;
 
-// Per-host Transport view onto the datagram fabric.
-class DatagramTransport : public Transport {
- public:
-  DatagramTransport(DatagramFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  void Send(WireMessage msg, SendCallback cb) override;
-  void RegisterHandler(uint16_t type, Handler handler) override;
-  void UnregisterAllHandlers() override;
-  HostId local_host() const override { return host_; }
-  Environment& env() override;
-
- private:
-  DatagramFabric* fabric_;
-  HostId host_;
-};
-
 class DatagramFabric : public Fabric {
  public:
   struct Options {
@@ -120,23 +104,13 @@ class DatagramFabric : public Fabric {
   // re-advertising a host (a restarted incarnation on a fresh port)
   // retargets future datagrams, including pending retransmits.
 
-  DatagramTransport* TransportFor(HostId local) override;
-  bool IsLocal(HostId h) const { return locals_.contains(h.value); }
-
-  FaultInjector& faults() override { return faults_; }
-
-  Environment& env() { return *rt_; }
-
   const DebugStats& debug_stats() const { return stats_; }
 
   // True when the kernel accepted a sendmmsg/recvmmsg call (vs the
   // one-at-a-time fallback). Meaningful after traffic has flowed.
   bool used_mmsg() const { return used_mmsg_; }
 
-  // --- used by DatagramTransport ---
-  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb);
-  void RegisterHandler(HostId h, uint16_t type, Transport::Handler handler);
-  void UnregisterAllHandlers(HostId h);
+  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
  private:
   // One record awaiting acknowledgment. `wire` is the encoded data record,
@@ -186,8 +160,8 @@ class DatagramFabric : public Fabric {
   void FlushAll();
   void ProcessRtos();
   void ArmRtoTimer();
+  // FailLater, counted in debug_stats().broken_sends.
   void FailSend(Transport::SendCallback cb, const char* why);
-  bool DispatchLocal(const WireMessage& msg);
   // One datagram ready for the kernel.
   struct OutDatagram {
     sockaddr_in addr;
@@ -197,9 +171,7 @@ class DatagramFabric : public Fabric {
   void TransmitBatch(std::vector<OutDatagram> grams);
   void SendOne(const OutDatagram& g);
 
-  LiveRuntime* rt_;
   Options opts_;
-  FaultInjector faults_;
   Rng rng_;
   uint64_t session_id_ = 0;
   int fd_ = -1;
@@ -207,8 +179,6 @@ class DatagramFabric : public Fabric {
   bool used_mmsg_ = false;
   DebugStats stats_;
 
-  std::unordered_map<uint64_t, std::unique_ptr<DatagramTransport>> locals_;
-  std::unordered_map<uint64_t, std::vector<Transport::Handler>> handlers_;
   std::unordered_map<uint64_t, std::unique_ptr<PeerState>> peers_;  // by dest host
   // session -> dest host -> delivery watermark.
   std::unordered_map<uint64_t, std::unordered_map<uint64_t, RecvState>> recv_;

@@ -1,12 +1,15 @@
-// Fabric: the deployment-facing surface shared by the real (inter-process
-// capable) messaging layers — the TCP socket fabric and the UDP datagram
-// fabric. A fabric owns the OS sockets for one process, hosts one or more
-// local Transport endpoints, keeps a host -> (ip, port) PeerAddressMap, and
-// mirrors the FaultInjector rule set so fault schedules apply to real
-// traffic.
+// Fabric: the base of the two real (inter-process capable) messaging layers,
+// the TCP socket fabric (socket_transport.h) and the UDP datagram fabric
+// (datagram_transport.h). A fabric owns the OS sockets for one process and
+// runs on its LiveRuntime's loop. The base holds what both share: the
+// Transport endpoints of the hosts local to this process and their
+// same-process delivery, a host -> (ip, port) PeerAddressMap, the
+// FaultInjector rule mirror that makes fault schedules apply to real
+// traffic, and the deferred kBroken failure of a send.
 //
-// Deployments select a fabric per run (ClusterConfig-level `transport`):
-//   * kInProcess — LiveRuntime's in-memory delivery (no fabric; live
+// Deployments pick the messaging layer per run with a TransportKind
+// (LiveClusterConfig::transport, ProcessClusterConfig::transport):
+//   * kInProcess — LiveRuntime's in-memory delivery (no fabric; the live
 //     backend's default);
 //   * kTcp      — SocketFabric: length-prefixed frames over nonblocking
 //     loopback TCP, per-message receiver acks, broken-connection errors;
@@ -16,8 +19,11 @@
 #define FUSE_TRANSPORT_FABRIC_H_
 
 #include <cstdint>
+#include <memory>
+#include <unordered_map>
 
 #include "net/fault_injector.h"
+#include "runtime/live_runtime.h"
 #include "transport/peer_address_map.h"
 #include "transport/transport.h"
 
@@ -41,8 +47,9 @@ inline const char* TransportKindName(TransportKind k) {
   return "unknown";
 }
 
-class Fabric {
+class Fabric : public TransportLayer {
  public:
+  explicit Fabric(LiveRuntime* rt) : rt_(rt) {}
   virtual ~Fabric() = default;
 
   // Binds the fabric's socket(s) on loopback and starts receiving. Returns
@@ -65,19 +72,32 @@ class Fabric {
 
   // Creates (or returns) the transport endpoint for a host local to this
   // process.
-  virtual Transport* TransportFor(HostId local) = 0;
-
-  // Drops every handler registered for a local host (a crash empties the
-  // dispatch table like a process that vanished).
-  virtual void UnregisterAllHandlers(HostId h) = 0;
+  Transport* TransportFor(HostId local);
 
   // The fabric's fault-rule mirror, evaluated on every send and delivery.
-  virtual FaultInjector& faults() = 0;
+  FaultInjector& faults() { return faults_; }
 
  protected:
+  bool IsLocal(HostId h) const { return locals_.contains(h.value); }
+  // Dispatches to the destination's local endpoint; true iff the host is
+  // local (handler registered or not: delivered-and-ignored still acks).
+  bool DispatchLocal(const WireMessage& msg);
+  // Same-process destination: dispatches through the loop (async like the
+  // wire) with a delivery-time fault re-check, and reports Ok, or kBroken
+  // with `why` when the rules refused the delivery.
+  void SendLocal(WireMessage msg, Transport::SendCallback cb, const char* why);
+  // Fails `cb` with kBroken from the loop, so callbacks never run inside the
+  // send/flush/break call stack that is mutating fabric state.
+  void FailLater(Transport::SendCallback cb, const char* why);
+
+  LiveRuntime* const rt_;
+  FaultInjector faults_;
   // The resolution surface shared by every fabric; concrete fabrics read it
   // at transmit/dial time and never cache resolved endpoints across sends.
   PeerAddressMap addrs_;
+
+ private:
+  std::unordered_map<uint64_t, std::unique_ptr<Transport>> locals_;
 };
 
 }  // namespace fuse

@@ -9,34 +9,6 @@
 
 namespace fuse {
 
-void ShardedTransport::Send(WireMessage msg, SendCallback cb) {
-  fabric_->SendFrom(host_, std::move(msg), std::move(cb));
-}
-
-void ShardedTransport::RegisterHandler(uint16_t type, Handler handler) {
-  fabric_->RegisterHandler(host_, type, std::move(handler));
-}
-
-void ShardedTransport::UnregisterAllHandlers() { fabric_->UnregisterAllHandlers(host_); }
-
-Environment& ShardedTransport::env() { return fabric_->EnvFor(host_); }
-
-TimePoint ShardedHostEnv::Now() const { return fabric_->ShardFor(host_).Now(); }
-
-TimerId ShardedHostEnv::Schedule(Duration d, UniqueFunction fn) {
-  const double rate = fabric_->network().faults().ClockRate(host_);
-  if (rate == 1.0) {
-    return fabric_->ShardFor(host_).Schedule(d, std::move(fn));
-  }
-  return fabric_->ShardFor(host_).Schedule(d * (1.0 / rate), std::move(fn));
-}
-
-bool ShardedHostEnv::Cancel(TimerId id) { return fabric_->ShardFor(host_).Cancel(id); }
-
-Rng& ShardedHostEnv::rng() { return fabric_->ShardFor(host_).rng(); }
-
-Metrics& ShardedHostEnv::metrics() { return fabric_->ShardFor(host_).metrics(); }
-
 ShardedFabric::ShardedFabric(ShardedSim& sim, SimNetwork& net, CostModel cost, TcpParams tcp,
                              size_t expected_hosts, int hosts_per_machine)
     : sim_(sim), net_(net), cost_(cost), tcp_(tcp), expected_hosts_(expected_hosts) {
@@ -63,11 +35,11 @@ const ShardedFabric::HostState* ShardedFabric::FindState(HostId h) const {
   return &hosts_[h.value];
 }
 
-ShardedTransport* ShardedFabric::TransportFor(HostId host) {
+Transport* ShardedFabric::TransportFor(HostId host) {
   HostState& hs = StateOf(host);
   if (!hs.transport) {
-    hs.transport = std::make_unique<ShardedTransport>(this, host);
-    hs.host_env = std::make_unique<ShardedHostEnv>(this, host);
+    hs.host_env = std::make_unique<SkewedHostEnv>(ShardFor(host), net_.faults(), host);
+    hs.transport = std::make_unique<Transport>(host, *hs.host_env, this);
     // Once the full cluster is materialized (Build creates every host before
     // the sim first runs), the host placement is final and the conservative
     // lookahead can be computed from it.
@@ -78,16 +50,13 @@ ShardedTransport* ShardedFabric::TransportFor(HostId host) {
   return hs.transport.get();
 }
 
-Environment& ShardedFabric::EnvFor(HostId host) {
-  TransportFor(host);
-  return *hosts_[host.value].host_env;
-}
-
 void ShardedFabric::CrashHost(HostId host) {
   HostState& hs = StateOf(host);
   hs.up = false;
   hs.incarnation++;
-  hs.handlers.clear();
+  if (hs.transport != nullptr) {
+    hs.transport->UnregisterAllHandlers();
+  }
   hs.send_busy_until = TimePoint::Zero();
   // The next incarnation starts fresh FIFO channels. In-flight sends carry
   // the old incarnation and drop themselves lazily at their next attempt.
@@ -99,7 +68,9 @@ void ShardedFabric::RestartHost(HostId host) {
   HostState& hs = StateOf(host);
   hs.up = true;
   hs.incarnation++;
-  hs.handlers.clear();
+  if (hs.transport != nullptr) {
+    hs.transport->UnregisterAllHandlers();
+  }
   net_.faults().SetHostDown(host, false);
 }
 
@@ -111,19 +82,6 @@ bool ShardedFabric::IsHostUp(HostId host) const {
   return hs->up;
 }
 
-void ShardedFabric::RegisterHandler(HostId host, uint16_t type, Transport::Handler handler) {
-  const uint8_t slot = MsgTypeSlot(type);
-  FUSE_CHECK(slot != 0) << "unknown message type " << type
-                        << " (add it to msgtype::kAllTypes)";
-  HostState& hs = StateOf(host);
-  if (hs.handlers.size() < msgtype::kNumSlots) {
-    hs.handlers.resize(msgtype::kNumSlots);
-  }
-  hs.handlers[slot] = std::move(handler);
-}
-
-void ShardedFabric::UnregisterAllHandlers(HostId host) { StateOf(host).handlers.clear(); }
-
 void ShardedFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) {
   {
     HostState& sender = StateOf(from);
@@ -132,7 +90,6 @@ void ShardedFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallba
       return;
     }
   }
-  msg.from = from;
   const HostId to = msg.to;
   FUSE_CHECK(to.valid() && to != from) << "bad destination";
   // Take both incarnations by value before holding any reference: StateOf(to)
@@ -259,20 +216,13 @@ void ShardedFabric::Attempt(uint32_t src_shard, SendRef ref) {
 
 void ShardedFabric::Deliver(HostId to, uint64_t incarnation, const WireMessage& msg) {
   const HostState* hs = FindState(to);
-  if (hs == nullptr) {
+  if (hs == nullptr || hs->transport == nullptr) {
     return;
   }
   if (!hs->up || hs->incarnation != incarnation) {
     return;  // crashed or restarted since the packet left
   }
-  const uint8_t slot = MsgTypeSlot(msg.type);
-  if (slot >= hs->handlers.size() || !hs->handlers[slot]) {
-    FUSE_LOG(Debug) << "host " << to.ToString() << " has no handler for type " << msg.type;
-    return;
-  }
-  // Copy the handler: it may unregister itself while running.
-  Transport::Handler handler = hs->handlers[slot];
-  handler(msg);
+  hs->transport->Dispatch(msg);
 }
 
 void ShardedFabric::FinalizeLookahead() {

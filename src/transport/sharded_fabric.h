@@ -46,43 +46,7 @@
 
 namespace fuse {
 
-class ShardedFabric;
-
-// Per-host Transport view onto the sharded fabric.
-class ShardedTransport : public Transport {
- public:
-  ShardedTransport(ShardedFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  void Send(WireMessage msg, SendCallback cb) override;
-  void RegisterHandler(uint16_t type, Handler handler) override;
-  void UnregisterAllHandlers() override;
-  HostId local_host() const override { return host_; }
-  Environment& env() override;
-
- private:
-  ShardedFabric* fabric_;
-  HostId host_;
-};
-
-// Per-host Environment facade: routes Now/Schedule/Cancel/rng/metrics to the
-// host's owning shard, applying the same timer-rate clock skew as
-// SkewedHostEnv (tcp_model.h).
-class ShardedHostEnv : public Environment {
- public:
-  ShardedHostEnv(ShardedFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  TimePoint Now() const override;
-  TimerId Schedule(Duration d, UniqueFunction fn) override;
-  bool Cancel(TimerId id) override;
-  Rng& rng() override;
-  Metrics& metrics() override;
-
- private:
-  ShardedFabric* fabric_;
-  HostId host_;
-};
-
-class ShardedFabric {
+class ShardedFabric final : public TransportLayer {
  public:
   // `expected_hosts` is the cluster size; once that many hosts have been
   // materialized (all of them, before the sim first runs), the fabric
@@ -101,8 +65,9 @@ class ShardedFabric {
   Shard& ShardFor(HostId h) { return sim_.shard(ShardOf(h)); }
 
   // Materializes host state (barrier context only: host creation, Build).
-  ShardedTransport* TransportFor(HostId host);
-  Environment& EnvFor(HostId host);
+  // The host's environment is its owning shard wrapped in the clock-skew
+  // facade (SkewedHostEnv, net/fault_injector.h).
+  Transport* TransportFor(HostId host);
 
   // Barrier-context crash/restart (see header comment).
   void CrashHost(HostId host);
@@ -117,10 +82,7 @@ class ShardedFabric {
     return net_.GetPath(a, b).latency + net_.GetPath(b, a).latency;
   }
 
-  // --- used by ShardedTransport ---
-  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb);
-  void RegisterHandler(HostId host, uint16_t type, Transport::Handler handler);
-  void UnregisterAllHandlers(HostId host);
+  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
  private:
   struct SendState {
@@ -138,9 +100,8 @@ class ShardedFabric {
   using SendRef = Pool<SendState>::Ref;
 
   struct HostState {
-    std::unique_ptr<ShardedTransport> transport;
-    std::unique_ptr<ShardedHostEnv> host_env;
-    std::vector<Transport::Handler> handlers;  // owning shard + barriers
+    std::unique_ptr<SkewedHostEnv> host_env;
+    std::unique_ptr<Transport> transport;  // handlers: owning shard + barriers
     uint64_t incarnation = 1;  // barrier-written, read by any shard
     bool up = true;            // barrier-written, read by any shard
     // Sender-shard-owned:

@@ -190,26 +190,11 @@ void FramedSocket::OnEvents(uint32_t events) {
   }
 }
 
-// --- SocketTransport ------------------------------------------------------
-
-void SocketTransport::Send(WireMessage msg, SendCallback cb) {
-  msg.from = host_;
-  fabric_->SendFrom(host_, std::move(msg), std::move(cb));
-}
-
-void SocketTransport::RegisterHandler(uint16_t type, Handler handler) {
-  fabric_->RegisterHandler(host_, type, std::move(handler));
-}
-
-void SocketTransport::UnregisterAllHandlers() { fabric_->UnregisterAllHandlers(host_); }
-
-Environment& SocketTransport::env() { return fabric_->env(); }
-
 // --- SocketFabric ---------------------------------------------------------
 
 SocketFabric::SocketFabric(LiveRuntime* rt) : SocketFabric(rt, Options()) {}
 
-SocketFabric::SocketFabric(LiveRuntime* rt, Options opts) : rt_(rt), opts_(opts) {}
+SocketFabric::SocketFabric(LiveRuntime* rt, Options opts) : Fabric(rt), opts_(opts) {}
 
 SocketFabric::~SocketFabric() {
   // The runtime may already be stopped (Unwatch on a dead loop is fine: the
@@ -266,49 +251,6 @@ void SocketFabric::OnAccept(uint32_t) {
   }
 }
 
-SocketTransport* SocketFabric::TransportFor(HostId local) {
-  auto& t = locals_[local.value];
-  if (t == nullptr) {
-    t = std::make_unique<SocketTransport>(this, local);
-  }
-  return t.get();
-}
-
-void SocketFabric::RegisterHandler(HostId h, uint16_t type, Transport::Handler handler) {
-  const uint8_t slot = MsgTypeSlot(type);
-  FUSE_CHECK(slot != 0) << "unknown message type " << type
-                        << " (add it to msgtype::kAllTypes)";
-  auto& table = handlers_[h.value];
-  if (table.size() < msgtype::kNumSlots) {
-    table.resize(msgtype::kNumSlots);
-  }
-  table[slot] = std::move(handler);
-}
-
-void SocketFabric::UnregisterAllHandlers(HostId h) { handlers_.erase(h.value); }
-
-void SocketFabric::FailCb(Transport::SendCallback cb, const char* why) {
-  if (!cb) {
-    return;
-  }
-  // Deferred, so callbacks never run inside the Send/Break call stack that
-  // is mutating connection state.
-  rt_->Schedule(Duration::Zero(),
-                [cb = std::move(cb), why] { cb(Status::Broken(why)); });
-}
-
-bool SocketFabric::DispatchLocal(const WireMessage& msg) {
-  const auto it = handlers_.find(msg.to.value);
-  if (it == handlers_.end()) {
-    return locals_.contains(msg.to.value);  // delivered-and-ignored is still a delivery
-  }
-  const uint8_t slot = MsgTypeSlot(msg.type);
-  if (slot < it->second.size() && it->second[slot]) {
-    it->second[slot](msg);
-  }
-  return true;
-}
-
 void SocketFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) {
   rt_->metrics().IncMessage(msg.category, msg.WireSize());
   if (faults_.IsBlocked(from, msg.to)) {
@@ -319,17 +261,8 @@ void SocketFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallbac
     return;
   }
   if (IsLocal(msg.to)) {
-    // Same-process destination: dispatch through the loop (async like the
-    // wire) and ack from the delivery outcome, mirroring the remote path.
-    rt_->Schedule(Duration::Zero(), [this, msg = std::move(msg), cb = std::move(cb)] {
-      bool delivered = false;
-      if (!faults_.IsBlocked(msg.from, msg.to)) {
-        delivered = DispatchLocal(msg);
-      }
-      if (cb) {
-        cb(delivered ? Status::Ok() : Status::Broken("socket: fault rules"));
-      }
-    });
+    // Acked from the delivery outcome, mirroring the remote path.
+    SendLocal(std::move(msg), std::move(cb), "socket: fault rules");
     return;
   }
 
@@ -338,7 +271,7 @@ void SocketFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallbac
   // worker) share one connection.
   const PeerEndpoint* ep = addrs_.Find(msg.to);
   if (ep == nullptr || !ep->valid()) {
-    FailCb(std::move(cb), "socket: no address for destination");
+    FailLater(std::move(cb), "socket: no address for destination");
     return;
   }
   const uint64_t key = ep->Key();
@@ -355,7 +288,7 @@ void SocketFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallbac
     StartConnect(c);
     if (conns_.find(key) == conns_.end()) {
       // The dial failed synchronously past its budget and broke the conn.
-      FailCb(std::move(cb), "socket: connect failed");
+      FailLater(std::move(cb), "socket: connect failed");
       return;
     }
   }
@@ -476,7 +409,7 @@ void SocketFabric::BreakConn(uint64_t ep_key, const char* why) {
   c->retry.Cancel();
   c->sock.CloseFd();
   for (auto& [seq, cb] : c->awaiting) {
-    FailCb(std::move(cb), why);
+    FailLater(std::move(cb), why);
   }
   c->awaiting.clear();
   c->queued.clear();

@@ -98,22 +98,6 @@ class FramedSocket {
   std::function<void(bool)> on_connect_;
 };
 
-// Per-host Transport view onto the socket fabric.
-class SocketTransport : public Transport {
- public:
-  SocketTransport(SocketFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  void Send(WireMessage msg, SendCallback cb) override;
-  void RegisterHandler(uint16_t type, Handler handler) override;
-  void UnregisterAllHandlers() override;
-  HostId local_host() const override { return host_; }
-  Environment& env() override;
-
- private:
-  SocketFabric* fabric_;
-  HostId host_;
-};
-
 class SocketFabric : public Fabric {
  public:
   struct Options {
@@ -145,21 +129,9 @@ class SocketFabric : public Fabric {
   // restarted incarnation on a fresh port) retargets traffic and a
   // connection to the stale endpoint is broken instead of retried.
 
-  // Creates (or returns) the transport endpoint for a host local to this
-  // process.
-  SocketTransport* TransportFor(HostId local) override;
-  bool IsLocal(HostId h) const { return locals_.contains(h.value); }
-
-  // The fabric's fault-rule mirror, evaluated sender-side on every send and
+  // The fault rules are evaluated sender-side on every send and
   // receiver-side on every delivery.
-  FaultInjector& faults() override { return faults_; }
-
-  Environment& env() { return *rt_; }
-
-  // --- used by SocketTransport ---
-  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb);
-  void RegisterHandler(HostId h, uint16_t type, Transport::Handler handler);
-  void UnregisterAllHandlers(HostId h);
+  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
  private:
   struct OutConn {
@@ -189,18 +161,10 @@ class SocketFabric : public Fabric {
   // with kBroken and removes it (a later send resolves fresh — and picks up
   // a restarted peer's new endpoint).
   void BreakConn(uint64_t ep_key, const char* why);
-  // Dispatches to the local handler table; true iff the destination host is
-  // local (handler registered or not — delivered-and-ignored still acks).
-  bool DispatchLocal(const WireMessage& msg);
-  void FailCb(Transport::SendCallback cb, const char* why);
 
-  LiveRuntime* rt_;
   Options opts_;
-  FaultInjector faults_;
   int listen_fd_ = -1;
   uint16_t listen_port_ = 0;
-  std::unordered_map<uint64_t, std::unique_ptr<SocketTransport>> locals_;
-  std::unordered_map<uint64_t, std::vector<Transport::Handler>> handlers_;
   std::unordered_map<uint64_t, std::unique_ptr<OutConn>> conns_;  // by PeerEndpoint::Key()
   // Accepted (inbound) connections; slots are reused after close.
   std::vector<std::unique_ptr<FramedSocket>> inbound_;

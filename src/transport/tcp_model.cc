@@ -7,34 +7,6 @@
 
 namespace fuse {
 
-void SimTransport::Send(WireMessage msg, SendCallback cb) {
-  fabric_->SendFrom(host_, std::move(msg), std::move(cb));
-}
-
-void SimTransport::RegisterHandler(uint16_t type, Handler handler) {
-  fabric_->RegisterHandler(host_, type, std::move(handler));
-}
-
-void SimTransport::UnregisterAllHandlers() { fabric_->UnregisterAllHandlers(host_); }
-
-Environment& SimTransport::env() { return fabric_->EnvFor(host_); }
-
-TimePoint SkewedHostEnv::Now() const { return fabric_->env().Now(); }
-
-TimerId SkewedHostEnv::Schedule(Duration d, UniqueFunction fn) {
-  const double rate = fabric_->network().faults().ClockRate(host_);
-  if (rate == 1.0) {
-    return fabric_->env().Schedule(d, std::move(fn));
-  }
-  return fabric_->env().Schedule(d * (1.0 / rate), std::move(fn));
-}
-
-bool SkewedHostEnv::Cancel(TimerId id) { return fabric_->env().Cancel(id); }
-
-Rng& SkewedHostEnv::rng() { return fabric_->env().rng(); }
-
-Metrics& SkewedHostEnv::metrics() { return fabric_->env().metrics(); }
-
 SimFabric::SimFabric(Environment& env, SimNetwork& net, CostModel cost, TcpParams tcp)
     : env_(env), net_(net), cost_(cost), tcp_(tcp) {}
 
@@ -44,13 +16,11 @@ SimFabric::HostState& SimFabric::StateOf(HostId h) {
   }
   HostState& hs = hosts_[h.value];
   if (hs.transport == nullptr) {
-    hs.transport = std::make_unique<SimTransport>(this, h);
-    hs.host_env = std::make_unique<SkewedHostEnv>(this, h);
+    hs.host_env = std::make_unique<SkewedHostEnv>(env_, net_.faults(), h);
+    hs.transport = std::make_unique<Transport>(h, *hs.host_env, this);
   }
   return hs;
 }
-
-Environment& SimFabric::EnvFor(HostId host) { return *StateOf(host).host_env; }
 
 const SimFabric::HostState* SimFabric::FindState(HostId h) const {
   if (h.value >= hosts_.size() || hosts_[h.value].transport == nullptr) {
@@ -59,7 +29,7 @@ const SimFabric::HostState* SimFabric::FindState(HostId h) const {
   return &hosts_[h.value];
 }
 
-SimTransport* SimFabric::TransportFor(HostId host) { return StateOf(host).transport.get(); }
+Transport* SimFabric::TransportFor(HostId host) { return StateOf(host).transport.get(); }
 
 SimFabric::Connection& SimFabric::ConnOf(HostId a, HostId b) {
   Connection& conn = connections_.FindOrInsert(PairKey(a, b));
@@ -91,7 +61,7 @@ void SimFabric::CrashHost(HostId host) {
   HostState& hs = StateOf(host);
   hs.up = false;
   hs.incarnation++;
-  hs.handlers.clear();
+  hs.transport->UnregisterAllHandlers();
   hs.send_busy_until = TimePoint::Zero();
   net_.faults().SetHostDown(host, true);
   // Break every connection touching this host. Peers' outstanding callbacks
@@ -118,22 +88,9 @@ void SimFabric::RestartHost(HostId host) {
   HostState& hs = StateOf(host);
   hs.up = true;
   hs.incarnation++;
-  hs.handlers.clear();
+  hs.transport->UnregisterAllHandlers();
   net_.faults().SetHostDown(host, false);
 }
-
-void SimFabric::RegisterHandler(HostId host, uint16_t type, Transport::Handler handler) {
-  const uint8_t slot = MsgTypeSlot(type);
-  FUSE_CHECK(slot != 0) << "unknown message type " << type
-                        << " (add it to msgtype::kAllTypes)";
-  HostState& hs = StateOf(host);
-  if (hs.handlers.size() < msgtype::kNumSlots) {
-    hs.handlers.resize(msgtype::kNumSlots);
-  }
-  hs.handlers[slot] = std::move(handler);
-}
-
-void SimFabric::UnregisterAllHandlers(HostId host) { StateOf(host).handlers.clear(); }
 
 void SimFabric::InvokeCallback(Transport::SendCallback cb, Status status) {
   if (cb) {
@@ -147,7 +104,6 @@ void SimFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback c
     InvokeCallback(std::move(cb), Status::Cancelled("sender crashed"));
     return;
   }
-  msg.from = from;
   const HostId to = msg.to;
   FUSE_CHECK(to.valid() && to != from) << "bad destination";
   Connection& conn = ConnOf(from, to);
@@ -444,14 +400,7 @@ void SimFabric::Deliver(HostId to, uint64_t incarnation, const WireMessage& msg)
   if (!hs->up || hs->incarnation != incarnation) {
     return;  // crashed or restarted since the packet left
   }
-  const uint8_t slot = MsgTypeSlot(msg.type);
-  if (slot >= hs->handlers.size() || !hs->handlers[slot]) {
-    FUSE_LOG(Debug) << "host " << to.ToString() << " has no handler for type " << msg.type;
-    return;
-  }
-  // Copy the handler: it may unregister itself while running.
-  Transport::Handler handler = hs->handlers[slot];
-  handler(msg);
+  hs->transport->Dispatch(msg);
 }
 
 }  // namespace fuse

@@ -18,8 +18,7 @@
 //
 // The send/deliver fast path is allocation-free and index-addressed: host
 // state lives in a dense vector indexed by HostId, connections in an
-// open-addressed table keyed by the packed host pair, per-host handler
-// dispatch in a flat array indexed by MsgTypeSlot, and the per-send
+// open-addressed table keyed by the packed host pair, and the per-send
 // retransmission/delivery state in generation-tagged pools (common/pool.h)
 // whose refs are carried through event closures instead of shared_ptrs.
 // WireMessage payloads are ref-counted PayloadBufs, so the delivery slot and
@@ -41,56 +40,14 @@
 
 namespace fuse {
 
-class SimFabric;
-
-// Per-host Transport view onto the fabric.
-class SimTransport : public Transport {
- public:
-  SimTransport(SimFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  void Send(WireMessage msg, SendCallback cb) override;
-  void RegisterHandler(uint16_t type, Handler handler) override;
-  void UnregisterAllHandlers() override;
-  HostId local_host() const override { return host_; }
-  Environment& env() override;
-
- private:
-  SimFabric* fabric_;
-  HostId host_;
-};
-
-// Per-host Environment facade implementing timer-rate clock skew: Schedule()
-// durations are divided by the host's FaultInjector clock rate (rate 2.0 =
-// the host's timers fire in half the nominal time, so it pings and declares
-// timeouts early), while Now() stays global. This models relative timer-rate
-// drift — the QoS-relevant effect — without forking the timeline. At the
-// default rate 1.0 the facade is a pure passthrough, so schedules without
-// skew rules are bit-identical to runs predating it.
-class SkewedHostEnv : public Environment {
- public:
-  SkewedHostEnv(SimFabric* fabric, HostId host) : fabric_(fabric), host_(host) {}
-
-  TimePoint Now() const override;
-  TimerId Schedule(Duration d, UniqueFunction fn) override;
-  bool Cancel(TimerId id) override;
-  Rng& rng() override;
-  Metrics& metrics() override;
-
- private:
-  SimFabric* fabric_;
-  HostId host_;
-};
-
-class SimFabric {
+class SimFabric final : public TransportLayer {
  public:
   SimFabric(Environment& env, SimNetwork& net, CostModel cost, TcpParams tcp = TcpParams());
 
   // Returns the transport for `host`, creating the fabric-side state lazily.
-  SimTransport* TransportFor(HostId host);
-
-  // The environment node-level code on `host` runs against: the base env
-  // wrapped in the host's clock-skew facade (see SkewedHostEnv).
-  Environment& EnvFor(HostId host);
+  // Its environment is the base env wrapped in the host's clock-skew facade
+  // (SkewedHostEnv, net/fault_injector.h).
+  Transport* TransportFor(HostId host);
 
   // Fail-stop crash: marks the host down in the fault rules, breaks all its
   // connections, clears its handlers, and bumps its incarnation so stale
@@ -110,10 +67,7 @@ class SimFabric {
   // Estimated round-trip latency (no loss); exposed for tests and benches.
   Duration Rtt(HostId a, HostId b) const;
 
-  // --- used by SimTransport ---
-  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb);
-  void RegisterHandler(HostId host, uint16_t type, Transport::Handler handler);
-  void UnregisterAllHandlers(HostId host);
+  void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
  private:
   struct PendingSend {
@@ -194,11 +148,8 @@ class SimFabric {
   };
 
   struct HostState {
-    std::unique_ptr<SimTransport> transport;  // null until materialized
     std::unique_ptr<SkewedHostEnv> host_env;  // created with the transport
-    // Flat dispatch table indexed by MsgTypeSlot(type); sized on first
-    // registration.
-    std::vector<Transport::Handler> handlers;
+    std::unique_ptr<Transport> transport;     // null until materialized
     uint64_t incarnation = 1;
     bool up = true;
     TimePoint send_busy_until;  // send-CPU serialization

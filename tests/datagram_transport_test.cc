@@ -128,7 +128,7 @@ TEST(DatagramSemantics, DuplicateDeliverySuppressedWhenAcksLost) {
   bool acked = false;
   Status status = Status::Ok();
   pair.Run([&] {
-    pair.b().RegisterHandler(pair.hb(), msgtype::kTest, [&](const WireMessage&) { ++delivered; });
+    pair.tb()->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { ++delivered; });
     // Silence on the reverse path only: data flows, acks evaporate.
     pair.b().faults().BlockOneWay(pair.hb(), pair.ha());
   });
@@ -171,7 +171,7 @@ TEST(DatagramSemantics, DataLostIsSilenceThenRetransmitExhaustion) {
   bool done = false;
   Status status = Status::Ok();
   pair.Run([&] {
-    pair.b().RegisterHandler(pair.hb(), msgtype::kTest, [&](const WireMessage&) { ++delivered; });
+    pair.tb()->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { ++delivered; });
     // Silence on the forward path: the record is dropped at pack time.
     pair.a().faults().BlockOneWay(pair.ha(), pair.hb());
   });
@@ -208,7 +208,7 @@ TEST(DatagramSemantics, ReorderAcrossBatchBoundaryDeliversExactlyOnce) {
   int dups = 0;
   int acked = 0;
   pair.Run([&] {
-    pair.b().RegisterHandler(pair.hb(), msgtype::kTest, [&](const WireMessage& m) {
+    pair.tb()->RegisterHandler(msgtype::kTest, [&](const WireMessage& m) {
       Reader r(m.payload.data(), m.payload.size());
       const uint32_t idx = r.GetU32();
       if (!seen.insert(idx).second) {
@@ -247,7 +247,7 @@ TEST(DatagramSemantics, CongestionWindowClampsUnderLossBurst) {
   int dups = 0;
   int acked = 0;
   pair.Run([&] {
-    pair.b().RegisterHandler(pair.hb(), msgtype::kTest, [&](const WireMessage& m) {
+    pair.tb()->RegisterHandler(msgtype::kTest, [&](const WireMessage& m) {
       Reader r(m.payload.data(), m.payload.size());
       if (!seen.insert(r.GetU32()).second) {
         ++dups;
@@ -321,8 +321,8 @@ TEST(DatagramSemantics, SetPeerAddrRetargetsInFlightRetransmits) {
     b_dead->TransportFor(hb);
     b_dead->faults().SetHostDown(hb, true);
     // The restarted incarnation delivers and acks normally.
-    b_new->TransportFor(hb);
-    b_new->RegisterHandler(hb, msgtype::kTest, [&](const WireMessage&) { ++delivered; });
+    b_new->TransportFor(hb)->RegisterHandler(msgtype::kTest,
+                                             [&](const WireMessage&) { ++delivered; });
     b_new->SetPeerAddr(ha, port_a);
     // The sender still believes hb lives at the dead incarnation's port.
     a->SetPeerAddr(hb, port_dead);

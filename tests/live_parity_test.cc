@@ -182,8 +182,8 @@ TEST(LiveClusterFaults, MidFlightPartitionBreaksTheAck) {
   cfg.min_latency = Duration::Millis(150);
   cfg.max_latency = Duration::Millis(200);
   LiveRuntime runtime(cfg);
-  LiveTransport* a = runtime.CreateHost();
-  LiveTransport* b = runtime.CreateHost();
+  Transport* a = runtime.CreateHost();
+  Transport* b = runtime.CreateHost();
 
   std::atomic<bool> delivered{false};
   std::atomic<bool> ack_seen{false};

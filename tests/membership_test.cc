@@ -1,12 +1,11 @@
-// Tests for the SWIM membership baseline and the heartbeat detector,
-// including the intransitive-connectivity scenario the paper argues
-// membership services handle poorly (section 2).
+// Tests for the SWIM membership baseline, including the
+// intransitive-connectivity scenario the paper argues membership services
+// handle poorly (section 2).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "membership/heartbeat_detector.h"
 #include "membership/swim.h"
 #include "net/network.h"
 #include "sim/simulation.h"
@@ -101,44 +100,6 @@ TEST_F(SwimFixture, IntransitiveFailureForcesBadChoice) {
   // ... and node 0 also keeps node 1 alive despite being unable to talk to
   // it: the membership abstraction gives it no usable signal.
   EXPECT_NE(members_[0]->StateOf(hosts_[1]), SwimMember::State::kDead);
-}
-
-TEST(HeartbeatTest, DetectsCrashAndRecovery) {
-  TopologyConfig cfg;
-  cfg.num_as = 40;
-  Simulation sim(305);
-  SimNetwork net{Topology::Generate(cfg, sim.rng())};
-  SimFabric fabric(sim, net, CostModel::Simulator());
-  std::vector<HostId> hosts;
-  for (int i = 0; i < 6; ++i) {
-    hosts.push_back(net.AddHost(sim.rng()));
-  }
-  std::vector<std::unique_ptr<HeartbeatDetector>> detectors;
-  for (int i = 0; i < 6; ++i) {
-    detectors.push_back(std::make_unique<HeartbeatDetector>(fabric.TransportFor(hosts[i])));
-    detectors.back()->Start(hosts);
-  }
-  sim.RunFor(Duration::Minutes(1));
-  EXPECT_EQ(detectors[0]->NumUp(), 5u);
-
-  int down_events = 0;
-  detectors[0]->SetStatusHandler([&](HostId, bool up) {
-    if (!up) {
-      ++down_events;
-    }
-  });
-  fabric.CrashHost(hosts[4]);
-  detectors[4]->Stop();
-  sim.RunFor(Duration::Minutes(2));
-  EXPECT_FALSE(detectors[0]->IsUp(hosts[4]));
-  EXPECT_EQ(down_events, 1);
-
-  // Recovery: heartbeats resume (the detector object is restarted).
-  fabric.RestartHost(hosts[4]);
-  detectors[4] = std::make_unique<HeartbeatDetector>(fabric.TransportFor(hosts[4]));
-  detectors[4]->Start(hosts);
-  sim.RunFor(Duration::Minutes(2));
-  EXPECT_TRUE(detectors[0]->IsUp(hosts[4]));
 }
 
 }  // namespace

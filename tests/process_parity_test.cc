@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "runtime/process_cluster.h"
 #include "runtime/scenario.h"
@@ -100,6 +101,65 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// An explicit signal issued through the harness (the hook GroupService's
+// Signal rides on) reaches the worker hosting the signalling node, and the
+// group notifies every member exactly once, over both transports.
+class ProcessSignal : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(ProcessSignal, SignalledGroupNotifiesEveryMemberOnce) {
+  ProcessClusterConfig cfg = ProcessClusterConfig::FastProtocol(6, /*seed=*/5);
+  cfg.transport = GetParam();
+  ProcessCluster cluster(cfg);
+  cluster.Build();
+  const std::vector<size_t> members = {1, 2, 4, 5};
+
+  bool created = false;
+  Status status = Status::Ok();
+  FuseId id;
+  cluster.Run([&] {
+    cluster.CreateGroupInContext(members[0], cluster.RefsOf(members),
+                                 [&](const Status& s, FuseId g) {
+                                   status = s;
+                                   id = g;
+                                   created = true;
+                                 });
+  });
+  ASSERT_TRUE(cluster.Await([&] { return created; }, Duration::Seconds(10)));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  // Touched only in the protocol context (watch callbacks, Await, Run).
+  std::map<size_t, int> fired;
+  cluster.Run([&] {
+    for (const size_t m : members) {
+      cluster.WatchGroupMemberInContext(m, id, [&fired, m] { fired[m]++; });
+    }
+    cluster.SignalGroupInContext(members[2], id);
+  });
+  const bool all = cluster.Await(
+      [&] {
+        for (const size_t m : members) {
+          if (fired[m] == 0) {
+            return false;
+          }
+        }
+        return true;
+      },
+      Duration::Seconds(10));
+  EXPECT_TRUE(all) << "not every member heard the signalled failure";
+  cluster.AdvanceFor(Duration::Seconds(1));  // window for duplicates
+  cluster.Run([&] {
+    for (const size_t m : members) {
+      EXPECT_EQ(fired[m], 1) << "member " << m;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ProcessSignal,
+                         ::testing::Values(TransportKind::kTcp, TransportKind::kUdp),
+                         [](const ::testing::TestParamInfo<TransportKind>& pinfo) {
+                           return pinfo.param == TransportKind::kUdp ? "Udp" : "Tcp";
+                         });
 
 // Crash/restart round trip at the deployment level: SIGKILL one worker, fork
 // a fresh incarnation, and verify it rejoins the overlay (new port, new

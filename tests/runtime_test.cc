@@ -110,7 +110,7 @@ class LiveFixture : public ::testing::Test {
 
   void BuildNodes(int n) {
     for (int i = 0; i < n; ++i) {
-      LiveTransport* t = runtime_->CreateHost();
+      Transport* t = runtime_->CreateHost();
       char name[16];
       std::snprintf(name, sizeof(name), "live%03d", i);
       nodes_.push_back(nullptr);
@@ -272,14 +272,13 @@ TEST(LiveRuntimeRaceTest, ConcurrentSendsAreDataRaceFree) {
   cfg.min_latency = Duration::Micros(50);
   cfg.max_latency = Duration::Micros(500);
   LiveRuntime runtime(cfg);
-  LiveTransport* a = runtime.CreateHost();
-  LiveTransport* b = runtime.CreateHost();
+  Transport* a = runtime.CreateHost();
+  Transport* b = runtime.CreateHost();
   std::atomic<int> delivered{0};
   std::atomic<int> acked{0};
-  runtime.RegisterHandler(b->local_host(), msgtype::kTest,
-                          [&delivered](const WireMessage&) { delivered++; });
+  b->RegisterHandler(msgtype::kTest, [&delivered](const WireMessage&) { delivered++; });
 
-  auto send_burst = [&](LiveTransport* t, HostId to, int count) {
+  auto send_burst = [&](Transport* t, HostId to, int count) {
     for (int i = 0; i < count; ++i) {
       WireMessage m;
       m.to = to;
