@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# Same-schedule check for refactors that claim no behaviour change. Builds
-# <base-ref> in a git worktree under the build directory, builds the working
-# tree, and diffs two deterministic outputs of each:
-#   * the fault-schedule sweep log (fuzz_schedules --schedules 400 --seed 1);
-#   * the determinism trace (DeterminismTest.SameSeedSameTrace, written
-#     through FUSE_TRACE_OUT).
-# Exits 0 when both match byte for byte, 1 on any difference (printed as a
-# unified diff), 2 on a usage error.
+# Same-schedule check for refactors that claim no behaviour change. Extracts
+# <base-ref> (git archive) under the build directory, builds it and the
+# working tree, and diffs four deterministic outputs of each, two per
+# simulator engine:
+#   * the classic engine's fault-schedule sweep log
+#     (fuzz_schedules --schedules 400 --seed 1);
+#   * the sharded engine's sweep log (the same sweep with --shards 4
+#     --threads 2);
+#   * the classic determinism trace (DeterminismTest.SameSeedSameTrace,
+#     written through FUSE_TRACE_OUT);
+#   * the sharded determinism trace (ShardedDeterminismTest.SameSeedSameTrace,
+#     written through FUSE_SHARDED_TRACE_OUT).
+# A base whose test binary predates a trace variable writes no file for it;
+# that comparison is reported as skipped. Exits 0 when every compared output
+# matches byte for byte, 1 on any difference (printed as a unified diff), 2
+# on a usage error.
 #
 #   scripts/same_schedule.sh HEAD~        # any commit-ish: SHA, branch, tag
 #   BUILD_DIR=build-rel scripts/same_schedule.sh main
@@ -26,10 +34,8 @@ build_dir="${BUILD_DIR:-build}"
 out="${build_dir}/same_schedule"
 base_src="${out}/base-src"
 rm -rf "${out}"
-mkdir -p "${out}"
-git worktree prune
-git worktree add --quiet --detach "${base_src}" "${base_sha}"
-trap 'git worktree remove --force "${base_src}" >/dev/null 2>&1 || true' EXIT
+mkdir -p "${base_src}"
+git archive "${base_sha}" | tar -x -C "${base_src}"
 
 targets=(fuzz_schedules determinism_test)
 jobs="$(nproc)"
@@ -46,20 +52,28 @@ cmake --build "${build_dir}" -j"${jobs}" --target "${targets[@]}" >/dev/null
 run() {  # <binary dir> <tag>
   "$1/src/fuzz_schedules" --schedules 400 --seed 1 --repro-dir "${out}" \
     > "${out}/$2.fuzz.log" || true
-  FUSE_TRACE_OUT="${out}/$2.trace.txt" "$1/tests/determinism_test" \
-    --gtest_filter=DeterminismTest.SameSeedSameTrace >/dev/null
+  "$1/src/fuzz_schedules" --schedules 400 --seed 1 --shards 4 --threads 2 \
+    --repro-dir "${out}" > "${out}/$2.sharded-fuzz.log" || true
+  FUSE_TRACE_OUT="${out}/$2.trace.txt" FUSE_SHARDED_TRACE_OUT="${out}/$2.sharded-trace.txt" \
+    "$1/tests/determinism_test" \
+    --gtest_filter='DeterminismTest.SameSeedSameTrace:ShardedDeterminismTest.SameSeedSameTrace' \
+    >/dev/null
 }
 run "${out}/base-build" base
 run "${build_dir}" work
 
 status=0
-for kind in fuzz.log trace.txt; do
+for kind in fuzz.log sharded-fuzz.log trace.txt sharded-trace.txt; do
+  if [[ ! -f "${out}/base.${kind}" ]]; then
+    echo "same_schedule: ${base_sha:0:12} writes no ${kind}; skipped" >&2
+    continue
+  fi
   if ! diff -u "${out}/base.${kind}" "${out}/work.${kind}"; then
     status=1
   fi
 done
 if [[ ${status} -eq 0 ]]; then
-  echo "same_schedule: fuzz log and determinism trace match ${base_sha:0:12}" >&2
+  echo "same_schedule: fuzz logs and determinism traces match ${base_sha:0:12}" >&2
 else
   echo "same_schedule: the working tree's schedule differs from ${base_sha:0:12}" >&2
 fi

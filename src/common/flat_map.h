@@ -18,6 +18,7 @@
 #ifndef FUSE_COMMON_FLAT_MAP_H_
 #define FUSE_COMMON_FLAT_MAP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>

@@ -128,7 +128,7 @@ class PayloadBuf {
 
   size_t size_ = 0;
   union {
-    Rep* rep_;
+    Rep* rep_ = nullptr;
     uint8_t inline_[kInlineSize];
   };
 };

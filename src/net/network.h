@@ -1,6 +1,8 @@
 // SimNetwork: hosts attached to the router topology, plus the loss model and
 // fault rules the transport consults. This is the ModelNet-emulator
-// equivalent in our reproduction.
+// equivalent in our reproduction. Both simulator fabrics (tcp_model.h,
+// sharded_fabric.h) take each transmission attempt's verdict from
+// DrawAttempt, so the network model is defined here once.
 #ifndef FUSE_NET_NETWORK_H_
 #define FUSE_NET_NETWORK_H_
 
@@ -45,14 +47,30 @@ class SimNetwork {
     return RouteSuccessProbabilityForHops(GetPath(a, b).hops);
   }
 
-  // Same survival model for a pre-resolved hop count (the transport caches
-  // per-connection paths). Keep the loss model defined here, in one place.
+  // Same survival model for a pre-resolved hop count.
   double RouteSuccessProbabilityForHops(uint32_t hops) const {
     if (per_link_loss_ <= 0.0) {
       return 1.0;
     }
     return std::pow(1.0 - per_link_loss_, static_cast<double>(hops));
   }
+
+  // The verdict on one transmission attempt of a from->to message whose ack
+  // travels back to->from.
+  struct Attempt {
+    bool data_ok = false;  // the data survived the route
+    bool ack_ok = false;   // ... and so did its ack
+    Duration one_way;      // the data's delay, jitter included
+    Duration rtt;          // data plus ack delay, without jitter
+  };
+  // `fwd` and `rev` are GetPath(from, to) and GetPath(to, from); callers may
+  // cache them. Directional verdicts: under a one-way block the data can
+  // arrive while every ack is lost. Draws from `rng` in a fixed order — data
+  // survival (skipped under a block), ack survival (skipped when the data was
+  // lost or the ack is blocked), then reorder jitter only while a reorder
+  // rule applies — so a schedule without those rules draws nothing extra.
+  Attempt DrawAttempt(HostId from, HostId to, const Topology::PathInfo& fwd,
+                      const Topology::PathInfo& rev, TimePoint now, Rng& rng) const;
 
   FaultInjector& faults() { return faults_; }
   const FaultInjector& faults() const { return faults_; }

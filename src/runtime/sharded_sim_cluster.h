@@ -1,8 +1,10 @@
 // ShardedSimCluster: the ClusterHarness over the sharded parallel simulator
 // (sim/sharded_sim.h + transport/sharded_fabric.h). Same scenario/bench/fuzz
-// surface as SimCluster; the backend partitions hosts across shards and runs
-// them on a worker pool in conservative lockstep epochs. Selected through
-// MakeSimCluster() by setting ClusterConfig::num_shards > 0.
+// surface and the same deployment code as SimCluster (sim_cluster.cc); the
+// engine partitions hosts across shards and runs them on a worker pool in
+// conservative lockstep epochs. Selected through MakeSimCluster() by setting
+// ClusterConfig::num_shards > 0; its cost model must not ask for connection
+// setup (CostModel::Simulator(), as ClusterConfig::LargeScale sets).
 #ifndef FUSE_RUNTIME_SHARDED_SIM_CLUSTER_H_
 #define FUSE_RUNTIME_SHARDED_SIM_CLUSTER_H_
 
@@ -16,8 +18,6 @@
 
 namespace fuse {
 
-class ShardedDeployment;
-
 class ShardedSimCluster : public ClusterHarness {
  public:
   explicit ShardedSimCluster(ClusterConfig config);
@@ -29,7 +29,7 @@ class ShardedSimCluster : public ClusterHarness {
   const ClusterConfig& config() const;
 
  private:
-  ShardedDeployment* sharded_deploy_;  // owned by the base class
+  SimDeployment<ShardedSim, ShardedFabric>* deploy_;  // owned by the base class
 };
 
 // Backend dispatch on ClusterConfig::num_shards: 0 builds the classic

@@ -55,6 +55,9 @@ struct ClusterConfig {
   }
 };
 
+// The simulated deployment, on the classic engine (Simulation + SimFabric) or
+// the sharded one (ShardedSim + ShardedFabric, runtime/sharded_sim_cluster.h).
+template <class Engine, class Fabric>
 class SimDeployment;
 
 class SimCluster : public ClusterHarness {
@@ -68,7 +71,7 @@ class SimCluster : public ClusterHarness {
   const ClusterConfig& config() const;
 
  private:
-  SimDeployment* sim_deploy_;  // owned by the base class
+  SimDeployment<Simulation, SimFabric>* deploy_;  // owned by the base class
 };
 
 }  // namespace fuse

@@ -9,6 +9,9 @@
 #ifndef FUSE_TRANSPORT_COST_MODEL_H_
 #define FUSE_TRANSPORT_COST_MODEL_H_
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/time.h"
 
 namespace fuse {
@@ -42,7 +45,8 @@ struct CostModel {
   }
 };
 
-// TCP model constants (see tcp_model.cc for how they are used).
+// TCP model constants of both simulator fabrics (tcp_model.h,
+// sharded_fabric.h).
 struct TcpParams {
   // Minimum retransmission timeout; doubled per retry.
   Duration min_rto = Duration::Seconds(1);
@@ -51,6 +55,12 @@ struct TcpParams {
   // SYN attempts before connect fails.
   int max_connect_attempts = 5;
   Duration connect_rto = Duration::Seconds(1);
+
+  // Wait before the next data attempt after `attempt` (1-based) attempts
+  // went unacknowledged: max(min_rto, 2 x rtt), doubled per retry.
+  Duration RetransmitBackoff(Duration rtt, int attempt) const {
+    return std::max(min_rto, rtt * int64_t{2}) * (int64_t{1} << (attempt - 1));
+  }
 };
 
 }  // namespace fuse

@@ -11,35 +11,29 @@ namespace fuse {
 
 ShardedFabric::ShardedFabric(ShardedSim& sim, SimNetwork& net, CostModel cost, TcpParams tcp,
                              size_t expected_hosts, int hosts_per_machine)
-    : sim_(sim), net_(net), cost_(cost), tcp_(tcp), expected_hosts_(expected_hosts) {
+    : sim_(sim),
+      net_(net),
+      tcp_(tcp),
+      expected_hosts_(expected_hosts),
+      hosts_(net.faults(), this, cost.SendOverhead()) {
   FUSE_CHECK(expected_hosts > 0) << "sharded fabric needs a host count up front";
+  FUSE_CHECK(!cost.model_connection_setup)
+      << "the sharded fabric does not model connection setup; use CostModel::Simulator()";
   const uint64_t align = hosts_per_machine > 0 ? static_cast<uint64_t>(hosts_per_machine) : 1;
   uint64_t per = (expected_hosts + sim_.num_shards() - 1) / sim_.num_shards();
   per = (per + align - 1) / align * align;  // co-located hosts share a shard
   block_ = per > 0 ? per : align;
-  hosts_.reserve(expected_hosts);
+  hosts_.Reserve(expected_hosts);
   per_shard_.resize(sim_.num_shards());
 }
 
-ShardedFabric::HostState& ShardedFabric::StateOf(HostId h) {
-  if (h.value >= hosts_.size()) {
-    hosts_.resize(h.value + 1);
-  }
-  return hosts_[h.value];
-}
-
-const ShardedFabric::HostState* ShardedFabric::FindState(HostId h) const {
-  if (h.value >= hosts_.size()) {
-    return nullptr;
-  }
-  return &hosts_[h.value];
-}
-
 Transport* ShardedFabric::TransportFor(HostId host) {
-  HostState& hs = StateOf(host);
-  if (!hs.transport) {
-    hs.host_env = std::make_unique<SkewedHostEnv>(ShardFor(host), net_.faults(), host);
-    hs.transport = std::make_unique<Transport>(host, *hs.host_env, this);
+  const bool fresh = !hosts_.HasTransport(host);
+  Transport* t = hosts_.TransportFor(host, ShardFor(host));
+  if (fresh) {
+    if (host.value >= fifo_watermark_.size()) {
+      fifo_watermark_.resize(host.value + 1);
+    }
     // Once the full cluster is materialized (Build creates every host before
     // the sim first runs), the host placement is final and the conservative
     // lookahead can be computed from it.
@@ -47,68 +41,33 @@ Transport* ShardedFabric::TransportFor(HostId host) {
       FinalizeLookahead();
     }
   }
-  return hs.transport.get();
+  return t;
 }
 
 void ShardedFabric::CrashHost(HostId host) {
-  HostState& hs = StateOf(host);
-  hs.up = false;
-  hs.incarnation++;
-  if (hs.transport != nullptr) {
-    hs.transport->UnregisterAllHandlers();
-  }
-  hs.send_busy_until = TimePoint::Zero();
+  hosts_.Crash(host);
   // The next incarnation starts fresh FIFO channels. In-flight sends carry
   // the old incarnation and drop themselves lazily at their next attempt.
-  hs.fifo_watermark = FlatMap<TimePoint>();
-  net_.faults().SetHostDown(host, true);
-}
-
-void ShardedFabric::RestartHost(HostId host) {
-  HostState& hs = StateOf(host);
-  hs.up = true;
-  hs.incarnation++;
-  if (hs.transport != nullptr) {
-    hs.transport->UnregisterAllHandlers();
+  if (host.value < fifo_watermark_.size()) {
+    fifo_watermark_[host.value] = FlatMap<TimePoint>();
   }
-  net_.faults().SetHostDown(host, false);
-}
-
-bool ShardedFabric::IsHostUp(HostId host) const {
-  const HostState* hs = FindState(host);
-  if (hs == nullptr) {
-    return !net_.faults().IsHostDown(host);
-  }
-  return hs->up;
 }
 
 void ShardedFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) {
-  {
-    HostState& sender = StateOf(from);
-    if (!sender.up) {
-      InvokeCallback(std::move(cb), Status::Cancelled("sender crashed"));
-      return;
-    }
+  if (!hosts_.At(from).up) {
+    InvokeCallback(std::move(cb), Status::Cancelled("sender crashed"));
+    return;
   }
   const HostId to = msg.to;
   FUSE_CHECK(to.valid() && to != from) << "bad destination";
-  // Take both incarnations by value before holding any reference: StateOf(to)
-  // may grow hosts_. Both fields are barrier-stable, so reading the
-  // destination's from the sender's shard is race-free.
-  const uint64_t from_inc = StateOf(from).incarnation;
-  const uint64_t to_inc = StateOf(to).incarnation;
+  // Both incarnations are barrier-stable, so reading the destination's from
+  // the sender's shard is race-free.
+  const uint64_t from_inc = hosts_.At(from).incarnation;
+  const uint64_t to_inc = hosts_.At(to).incarnation;
 
   const uint32_t src_shard = ShardOf(from);
   Shard& shard = sim_.shard(src_shard);
-  // Per-send CPU occupancy: sends from one host leave serialized (§7.4).
-  const Duration overhead = cost_.SendOverhead();
-  TimePoint depart = shard.Now();
-  if (!overhead.IsZero()) {
-    HostState& sender = StateOf(from);
-    const TimePoint busy_from = sender.send_busy_until > depart ? sender.send_busy_until : depart;
-    depart = busy_from + overhead;
-    sender.send_busy_until = depart;
-  }
+  const TimePoint depart = hosts_.Depart(from, shard.Now());
 
   Pool<SendState>& pool = per_shard_[src_shard].send_pool;
   const SendRef ref = pool.Alloc();
@@ -136,7 +95,7 @@ void ShardedFabric::Attempt(uint32_t src_shard, SendRef ref) {
     // Lazy sender-crash cleanup: a crash (barrier context) does not walk
     // in-flight sends; each one notices the incarnation bump at its next
     // attempt and evaporates — the callback died with the old incarnation.
-    const HostState& sender = hosts_[from.value];
+    const SimHostTable::Host& sender = hosts_.At(from);
     if (!sender.up || sender.incarnation != st->from_incarnation) {
       pool.Release(ref);
       return;
@@ -151,40 +110,15 @@ void ShardedFabric::Attempt(uint32_t src_shard, SendRef ref) {
   st->attempt++;
   Shard& shard = sim_.shard(src_shard);
   shard.metrics().IncMessage(st->category, st->wire_size);
-  const FaultInjector& faults = net_.faults();
-  const Topology::PathInfo fwd = net_.GetPath(from, to);
-  const Topology::PathInfo rev = net_.GetPath(to, from);
-  // Same verdict structure as SimFabric::AttemptData — directional blocks,
-  // per-route survival, optional burst loss — with every draw taken from the
-  // sender's shard RNG in a fixed order.
-  const bool data_blocked = faults.IsBlocked(from, to);
-  const bool ack_blocked = faults.IsBlocked(to, from);
-  const double burst =
-      faults.HasLossBursts() ? faults.BurstLossProbability(from, to, shard.Now()) : 0.0;
-  Rng& rng = shard.rng();
-  const bool data_ok =
-      !data_blocked &&
-      rng.Bernoulli(net_.RouteSuccessProbabilityForHops(fwd.hops) * (1.0 - burst));
-  const bool ack_ok =
-      data_ok && !ack_blocked &&
-      rng.Bernoulli(net_.RouteSuccessProbabilityForHops(rev.hops) * (1.0 - burst));
-  const Duration fwd_extra = faults.ExtraDelay(from, to);
-  Duration one_way = fwd.latency + fwd_extra;
-  const Duration jitter_max = faults.ReorderJitterFor(from, to);
-  if (!jitter_max.IsZero()) {
-    // Drawn only when a reorder rule is active, preserving the rng sequence
-    // of jitter-free schedules.
-    one_way += Duration::Micros(rng.UniformInt(0, jitter_max.ToMicros()));
-  }
-  const Duration rtt = fwd.latency + rev.latency + fwd_extra + faults.ExtraDelay(to, from);
+  const SimNetwork::Attempt v = net_.DrawAttempt(from, to, net_.GetPath(from, to),
+                                                 net_.GetPath(to, from), shard.Now(), shard.rng());
 
-  if (data_ok && !st->delivered) {
+  if (v.data_ok && !st->delivered) {
     // First attempt to survive the route carries the payload; later lost-ack
     // retransmissions are duplicates the receiver-side already consumed.
     st->delivered = true;
-    TimePoint deliver_at = shard.Now() + one_way;
-    HostState& sender = hosts_[from.value];
-    TimePoint& watermark = sender.fifo_watermark.FindOrInsert(to.value);
+    TimePoint deliver_at = shard.Now() + v.one_way;
+    TimePoint& watermark = fifo_watermark_[from.value].FindOrInsert(to.value);
     if (deliver_at < watermark) {
       deliver_at = watermark;  // per-channel FIFO: never overtake earlier traffic
     }
@@ -192,37 +126,23 @@ void ShardedFabric::Attempt(uint32_t src_shard, SendRef ref) {
     const uint64_t inc = st->to_incarnation;
     const uint32_t dst_shard = ShardOf(to);
     WireMessage payload = std::move(st->msg);
-    auto deliver = [this, inc, m = std::move(payload)] { Deliver(m.to, inc, m); };
+    auto deliver = [this, inc, m = std::move(payload)] { hosts_.Deliver(inc, m); };
     if (dst_shard == src_shard) {
       shard.queue().ScheduleAt(deliver_at, std::move(deliver));
     } else {
       shard.PushCrossShard(dst_shard, deliver_at, std::move(deliver));
     }
   }
-  if (data_ok && ack_ok) {
+  if (v.ack_ok) {
     Transport::SendCallback cb = std::move(st->cb);
     pool.Release(ref);
-    shard.queue().ScheduleAt(shard.Now() + rtt, [cb = std::move(cb)]() mutable {
+    shard.queue().ScheduleAt(shard.Now() + v.rtt, [cb = std::move(cb)]() mutable {
       InvokeCallback(std::move(cb), Status::Ok());
     });
     return;
   }
-  // Retransmit with exponential backoff from the minimum RTO.
-  const Duration base_rto = std::max(tcp_.min_rto, rtt * int64_t{2});
-  const Duration backoff = base_rto * (int64_t{1} << (st->attempt - 1));
-  shard.queue().ScheduleAt(shard.Now() + backoff,
+  shard.queue().ScheduleAt(shard.Now() + tcp_.RetransmitBackoff(v.rtt, st->attempt),
                            [this, src_shard, ref] { Attempt(src_shard, ref); });
-}
-
-void ShardedFabric::Deliver(HostId to, uint64_t incarnation, const WireMessage& msg) {
-  const HostState* hs = FindState(to);
-  if (hs == nullptr || hs->transport == nullptr) {
-    return;
-  }
-  if (!hs->up || hs->incarnation != incarnation) {
-    return;  // crashed or restarted since the packet left
-  }
-  hs->transport->Dispatch(msg);
 }
 
 void ShardedFabric::FinalizeLookahead() {

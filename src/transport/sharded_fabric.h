@@ -1,29 +1,34 @@
 // ShardedFabric: the messaging layer for the sharded simulator
-// (sim/sharded_sim.h). Same analytic TCP-over-lossy-topology model as
-// SimFabric — per-attempt route survival draws in both directions,
-// exponential backoff from the minimum RTO, kBroken after the retransmission
-// limit, per-host send-CPU serialization, incarnation-checked delivery —
-// reorganized so every piece of mutable state has exactly one owning shard:
+// (sim/sharded_sim.h). It shares the classic SimFabric's network model
+// (tcp_model.h): each attempt's verdict comes from SimNetwork::DrawAttempt,
+// lost attempts back off by TcpParams::RetransmitBackoff until kBroken after
+// max_data_attempts, and the host table (sim_hosts.h) holds the endpoints,
+// incarnations, up flags and send-CPU clocks and drops deliveries addressed
+// to a previous incarnation.
 //
+// Its own differences all follow from giving every piece of mutable state
+// exactly one owning shard:
 //   * all per-send state (attempt counter, callback, payload) lives on the
-//     *sender's* shard in a pooled entry; retransmission attempts, loss
-//     draws, and latency draws all execute there, so the receiving shard
-//     never contributes randomness to a message in flight;
-//   * a delivery is resolved entirely at the successful attempt: the sender
-//     computes the arrival time, clamps it against the per-(src,dst) FIFO
+//     *sender's* shard in a per-shard pool, and every attempt draws from the
+//     sender's shard RNG, so the receiving shard never contributes
+//     randomness to a message in flight;
+//   * a delivery is resolved at the first attempt that survives: the sender
+//     computes the arrival time, clamps it against its per-destination FIFO
 //     watermark, and ships a self-contained closure — same-shard via a plain
 //     ScheduleAt, cross-shard via the shard outbox that ShardedSim merges
 //     canonically at the epoch barrier;
 //   * host up/incarnation flags are written only at barriers (CrashHost /
 //     RestartHost run on the control thread with workers parked) and read
 //     freely during epochs, so a crash is visible to every shard from the
-//     next epoch on without any locking.
+//     next epoch on without any locking;
+//   * the conservative lookahead is computed from the host placement once
+//     every host exists.
 //
-// Simplifications relative to SimFabric, acceptable because the sharded
-// engine targets large-scale runs under CostModel::Simulator(): connection
-// setup is not modeled (no SYN handshake, no kUnreachable connect failures —
-// persistent blocks surface as kBroken after the data-retry budget), and
-// in-order delivery is per-channel watermark-based rather than full
+// Left out relative to SimFabric, because the sharded engine targets
+// large-scale runs under CostModel::Simulator(): connection setup is not
+// modeled (the constructor rejects a cost model that asks for it; persistent
+// blocks surface as kBroken after the data-retry budget, never kUnreachable),
+// and in-order delivery is per-channel watermark-based rather than full
 // head-of-line blocking (a retransmitted message may be overtaken by later
 // traffic on the same pair). Crashes do not proactively break peers'
 // in-flight sends; peers discover dead hosts through ping timeouts, exactly
@@ -32,7 +37,6 @@
 #define FUSE_TRANSPORT_SHARDED_FABRIC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -42,6 +46,7 @@
 #include "sim/environment.h"
 #include "sim/sharded_sim.h"
 #include "transport/cost_model.h"
+#include "transport/sim_hosts.h"
 #include "transport/transport.h"
 
 namespace fuse {
@@ -52,7 +57,8 @@ class ShardedFabric final : public TransportLayer {
   // materialized (all of them, before the sim first runs), the fabric
   // computes the conservative lookahead from the actual host placement and
   // installs it on the sim. `hosts_per_machine` fixes the partition block
-  // alignment so co-located hosts never straddle a shard boundary.
+  // alignment so co-located hosts never straddle a shard boundary. `cost`
+  // must not ask for connection setup, which this fabric does not model.
   ShardedFabric(ShardedSim& sim, SimNetwork& net, CostModel cost, TcpParams tcp,
                 size_t expected_hosts, int hosts_per_machine);
 
@@ -64,23 +70,14 @@ class ShardedFabric final : public TransportLayer {
   }
   Shard& ShardFor(HostId h) { return sim_.shard(ShardOf(h)); }
 
-  // Materializes host state (barrier context only: host creation, Build).
-  // The host's environment is its owning shard wrapped in the clock-skew
-  // facade (SkewedHostEnv, net/fault_injector.h).
+  // Barrier context only (host creation, Build). The host's base
+  // environment is its owning shard (see SimHostTable::TransportFor).
   Transport* TransportFor(HostId host);
 
   // Barrier-context crash/restart (see header comment).
   void CrashHost(HostId host);
-  void RestartHost(HostId host);
-  bool IsHostUp(HostId host) const;
-
-  ShardedSim& sim() { return sim_; }
-  SimNetwork& network() { return net_; }
-  const CostModel& cost_model() const { return cost_; }
-  const TcpParams& tcp_params() const { return tcp_; }
-  Duration Rtt(HostId a, HostId b) const {
-    return net_.GetPath(a, b).latency + net_.GetPath(b, a).latency;
-  }
+  void RestartHost(HostId host) { hosts_.Restart(host); }
+  bool IsHostUp(HostId host) const { return hosts_.IsUp(host); }
 
   void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
@@ -99,25 +96,12 @@ class ShardedFabric final : public TransportLayer {
   };
   using SendRef = Pool<SendState>::Ref;
 
-  struct HostState {
-    std::unique_ptr<SkewedHostEnv> host_env;
-    std::unique_ptr<Transport> transport;  // handlers: owning shard + barriers
-    uint64_t incarnation = 1;  // barrier-written, read by any shard
-    bool up = true;            // barrier-written, read by any shard
-    // Sender-shard-owned:
-    TimePoint send_busy_until;        // send-CPU serialization
-    FlatMap<TimePoint> fifo_watermark;  // last scheduled arrival per dst host
-  };
-
   // Per-shard send-state pool so allocation stays shard-local.
   struct PerShard {
     Pool<SendState> send_pool;
   };
 
-  HostState& StateOf(HostId h);
-  const HostState* FindState(HostId h) const;
   void Attempt(uint32_t src_shard, SendRef ref);
-  void Deliver(HostId to, uint64_t incarnation, const WireMessage& msg);
   void FinalizeLookahead();
 
   static void InvokeCallback(Transport::SendCallback cb, Status status) {
@@ -128,12 +112,16 @@ class ShardedFabric final : public TransportLayer {
 
   ShardedSim& sim_;
   SimNetwork& net_;
-  CostModel cost_;
   TcpParams tcp_;
   uint64_t block_;  // hosts per shard (machine-aligned)
   size_t expected_hosts_;
   size_t materialized_hosts_ = 0;
-  std::vector<HostState> hosts_;  // dense, indexed by HostId::value
+  // Incarnations and up flags: barrier-written, read by any shard. Send-CPU
+  // clocks: sender-shard-owned. Handlers: owning shard and barriers.
+  SimHostTable hosts_;
+  // Sender-shard-owned, indexed by the sending host: the last scheduled
+  // arrival per destination host.
+  std::vector<FlatMap<TimePoint>> fifo_watermark_;
   std::vector<PerShard> per_shard_;
 };
 

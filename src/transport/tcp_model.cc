@@ -8,28 +8,11 @@
 namespace fuse {
 
 SimFabric::SimFabric(Environment& env, SimNetwork& net, CostModel cost, TcpParams tcp)
-    : env_(env), net_(net), cost_(cost), tcp_(tcp) {}
-
-SimFabric::HostState& SimFabric::StateOf(HostId h) {
-  if (h.value >= hosts_.size()) {
-    hosts_.resize(h.value + 1);
-  }
-  HostState& hs = hosts_[h.value];
-  if (hs.transport == nullptr) {
-    hs.host_env = std::make_unique<SkewedHostEnv>(env_, net_.faults(), h);
-    hs.transport = std::make_unique<Transport>(h, *hs.host_env, this);
-  }
-  return hs;
-}
-
-const SimFabric::HostState* SimFabric::FindState(HostId h) const {
-  if (h.value >= hosts_.size() || hosts_[h.value].transport == nullptr) {
-    return nullptr;
-  }
-  return &hosts_[h.value];
-}
-
-Transport* SimFabric::TransportFor(HostId host) { return StateOf(host).transport.get(); }
+    : env_(env),
+      net_(net),
+      cost_(cost),
+      tcp_(tcp),
+      hosts_(net.faults(), this, cost.SendOverhead()) {}
 
 SimFabric::Connection& SimFabric::ConnOf(HostId a, HostId b) {
   Connection& conn = connections_.FindOrInsert(PairKey(a, b));
@@ -43,27 +26,8 @@ SimFabric::Connection& SimFabric::ConnOf(HostId a, HostId b) {
   return conn;
 }
 
-double SimFabric::RouteSuccess(uint32_t hops) const {
-  return net_.RouteSuccessProbabilityForHops(hops);
-}
-
-Duration SimFabric::Rtt(HostId a, HostId b) const {
-  return net_.GetPath(a, b).latency + net_.GetPath(b, a).latency;
-}
-
-bool SimFabric::IsHostUp(HostId host) const {
-  const HostState* hs = FindState(host);
-  // Hosts unseen by the fabric are considered up (they just have no state).
-  return hs == nullptr ? !net_.faults().IsHostDown(host) : hs->up;
-}
-
 void SimFabric::CrashHost(HostId host) {
-  HostState& hs = StateOf(host);
-  hs.up = false;
-  hs.incarnation++;
-  hs.transport->UnregisterAllHandlers();
-  hs.send_busy_until = TimePoint::Zero();
-  net_.faults().SetHostDown(host, true);
+  hosts_.Crash(host);
   // Break every connection touching this host. Peers' outstanding callbacks
   // get kBroken. Collect the keys first and sort them (canonical low-pair
   // order): the callbacks BreakConnection fires may send messages, which can
@@ -84,14 +48,6 @@ void SimFabric::CrashHost(HostId host) {
   }
 }
 
-void SimFabric::RestartHost(HostId host) {
-  HostState& hs = StateOf(host);
-  hs.up = true;
-  hs.incarnation++;
-  hs.transport->UnregisterAllHandlers();
-  net_.faults().SetHostDown(host, false);
-}
-
 void SimFabric::InvokeCallback(Transport::SendCallback cb, Status status) {
   if (cb) {
     cb(status);
@@ -99,8 +55,7 @@ void SimFabric::InvokeCallback(Transport::SendCallback cb, Status status) {
 }
 
 void SimFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) {
-  HostState& hs = StateOf(from);
-  if (!hs.up) {
+  if (!hosts_.At(from).up) {
     InvokeCallback(std::move(cb), Status::Cancelled("sender crashed"));
     return;
   }
@@ -118,7 +73,7 @@ void SimFabric::SendFrom(HostId from, WireMessage msg, Transport::SendCallback c
       conn.pending.push_back(PendingSend{std::move(msg), std::move(cb)});
       if (!cost_.model_connection_setup) {
         conn.state = Connection::State::kOpen;
-        FlushPending(from, to, &conn);
+        FlushPending(&conn);
       } else {
         StartHandshake(from, to, &conn);
       }
@@ -159,8 +114,10 @@ void SimFabric::AttemptConnect(HostId initiator, HostId peer, uint64_t epoch, in
       faults.HasLossBursts() ? faults.BurstLossProbability(initiator, peer, env_.Now()) : 0.0;
   const bool ok =
       !blocked &&
-      env_.rng().Bernoulli(RouteSuccess(conn.path[dir].hops) * (1.0 - burst)) &&
-      env_.rng().Bernoulli(RouteSuccess(conn.path[1 - dir].hops) * (1.0 - burst));
+      env_.rng().Bernoulli(net_.RouteSuccessProbabilityForHops(conn.path[dir].hops) *
+                           (1.0 - burst)) &&
+      env_.rng().Bernoulli(net_.RouteSuccessProbabilityForHops(conn.path[1 - dir].hops) *
+                           (1.0 - burst));
   if (ok) {
     env_.metrics().IncMessage(MsgCategory::kTransportControl, WireMessage::kHeaderBytes);
     const Duration rtt = conn.path[0].latency + conn.path[1].latency +
@@ -171,7 +128,7 @@ void SimFabric::AttemptConnect(HostId initiator, HostId peer, uint64_t epoch, in
         return;
       }
       c.state = Connection::State::kOpen;
-      FlushPending(initiator, peer, &c);
+      FlushPending(&c);
     });
   } else {
     const Duration backoff = tcp_.connect_rto * (int64_t{1} << attempt);
@@ -181,9 +138,7 @@ void SimFabric::AttemptConnect(HostId initiator, HostId peer, uint64_t epoch, in
   }
 }
 
-void SimFabric::FlushPending(HostId a, HostId b, Connection* conn) {
-  (void)a;
-  (void)b;
+void SimFabric::FlushPending(Connection* conn) {
   auto pending = std::move(conn->pending);
   conn->pending.clear();
   for (auto& p : pending) {
@@ -194,9 +149,7 @@ void SimFabric::FlushPending(HostId a, HostId b, Connection* conn) {
 void SimFabric::StartDataSend(HostId from, Connection* conn, WireMessage msg,
                               Transport::SendCallback cb) {
   const HostId to = msg.to;
-  // Materialize the destination first: StateOf may grow hosts_, so take the
-  // incarnation by value before any reference into the vector is held.
-  const uint64_t dest_incarnation = StateOf(to).incarnation;
+  const uint64_t dest_incarnation = hosts_.At(to).incarnation;
   const SlotRef slot_ref = slot_pool_.Alloc();
   const SendRef st_ref = send_pool_.Alloc();
   DeliverySlot& slot = *slot_pool_.Get(slot_ref);
@@ -214,15 +167,7 @@ void SimFabric::StartDataSend(HostId from, Connection* conn, WireMessage msg,
   // Enqueue for in-order delivery on this direction.
   const int dir = from < to ? 0 : 1;
   conn->delivery_queue[dir].push_back(slot_ref);
-  // Per-send CPU occupancy: sends from one host leave serialized (§7.4).
-  const Duration overhead = cost_.SendOverhead();
-  TimePoint depart = env_.Now();
-  if (!overhead.IsZero()) {
-    HostState& hs = StateOf(from);
-    const TimePoint busy_from = hs.send_busy_until > depart ? hs.send_busy_until : depart;
-    depart = busy_from + overhead;
-    hs.send_busy_until = depart;
-  }
+  const TimePoint depart = hosts_.Depart(from, env_.Now());
   env_.Schedule(depart - env_.Now(), [this, from, st_ref] { AttemptData(from, st_ref); });
 }
 
@@ -265,47 +210,26 @@ void SimFabric::AttemptData(HostId from, SendRef ref) {
   st->attempt++;
   env_.metrics().IncMessage(st->category, st->wire_size);
   const int dir = from < to ? 0 : 1;
-  const FaultInjector& faults = net_.faults();
-  // Directional verdicts: under an asymmetric block the data can arrive while
-  // every ack is lost, so the receiver sees (and re-sees) the message while
-  // the sender backs off toward a broken connection.
-  const bool data_blocked = faults.IsBlocked(from, to);
-  const bool ack_blocked = faults.IsBlocked(to, from);
-  const double burst =
-      faults.HasLossBursts() ? faults.BurstLossProbability(from, to, env_.Now()) : 0.0;
-  const bool data_ok =
-      !data_blocked && env_.rng().Bernoulli(RouteSuccess(conn.path[dir].hops) * (1.0 - burst));
-  const bool ack_ok =
-      data_ok && !ack_blocked &&
-      env_.rng().Bernoulli(RouteSuccess(conn.path[1 - dir].hops) * (1.0 - burst));
-  const Duration fwd_extra = faults.ExtraDelay(from, to);
-  Duration one_way = conn.path[dir].latency + fwd_extra;
-  const Duration jitter_max = faults.ReorderJitterFor(from, to);
-  if (!jitter_max.IsZero()) {
-    // Extra per-message delay scrambles arrival order across connections (and
-    // lands in the slot's ready_time, so in-order delivery per connection
-    // still holds via the watermark). The draw only happens when a reorder
-    // rule is active, preserving the rng sequence of jitter-free schedules.
-    one_way += Duration::Micros(env_.rng().UniformInt(0, jitter_max.ToMicros()));
-  }
-  const Duration rtt = conn.path[0].latency + conn.path[1].latency + fwd_extra +
-                       faults.ExtraDelay(to, from);
+  const SimNetwork::Attempt v =
+      net_.DrawAttempt(from, to, conn.path[dir], conn.path[1 - dir], env_.Now(), env_.rng());
 
   // A stale slot ref means the message was already delivered (a lost-ack
   // retransmission): nothing left to mark ready.
-  if (data_ok) {
+  if (v.data_ok) {
     DeliverySlot* slot = slot_pool_.Get(st->slot);
     if (slot != nullptr && !slot->ready) {
+      // Jitter lands in the slot's ready_time, so in-order delivery per
+      // connection still holds via the watermark.
       slot->ready = true;
-      slot->ready_time = env_.Now() + one_way;
+      slot->ready_time = env_.Now() + v.one_way;
       FlushDeliveries(&conn, dir);
     }
   }
-  if (data_ok && ack_ok) {
+  if (v.ack_ok) {
     RemoveInflight(conn, ref);
     Transport::SendCallback cb = std::move(st->cb);
     send_pool_.Release(ref);
-    env_.Schedule(rtt, [this, cb = std::move(cb)]() mutable {
+    env_.Schedule(v.rtt, [this, cb = std::move(cb)]() mutable {
       InvokeCallback(std::move(cb), Status::Ok());
     });
     return;
@@ -313,9 +237,8 @@ void SimFabric::AttemptData(HostId from, SendRef ref) {
   // Retransmit with exponential backoff. The closure carries only the pool
   // ref: if the connection breaks first, BreakConnection cancels the event
   // and reclaims the state, and a stale ref resolves to nothing.
-  const Duration base_rto = std::max(tcp_.min_rto, rtt * int64_t{2});
-  const Duration backoff = base_rto * (int64_t{1} << (st->attempt - 1));
-  st->retry = env_.Schedule(backoff, [this, from, ref] { AttemptData(from, ref); });
+  st->retry = env_.Schedule(tcp_.RetransmitBackoff(v.rtt, st->attempt),
+                            [this, from, ref] { AttemptData(from, ref); });
 }
 
 void SimFabric::FlushDeliveries(Connection* conn, int dir) {
@@ -389,18 +312,7 @@ void SimFabric::FinishDelivery(SlotRef ref) {
   const WireMessage msg = std::move(slot->msg);
   const uint64_t incarnation = slot->dest_incarnation;
   slot_pool_.Release(ref);
-  Deliver(msg.to, incarnation, msg);
-}
-
-void SimFabric::Deliver(HostId to, uint64_t incarnation, const WireMessage& msg) {
-  const HostState* hs = FindState(to);
-  if (hs == nullptr) {
-    return;
-  }
-  if (!hs->up || hs->incarnation != incarnation) {
-    return;  // crashed or restarted since the packet left
-  }
-  hs->transport->Dispatch(msg);
+  hosts_.Deliver(incarnation, msg);
 }
 
 }  // namespace fuse

@@ -1,33 +1,40 @@
-// SimFabric: the simulator's messaging layer.
+// SimFabric: the classic simulator's messaging layer — TCP over the lossy
+// topology, modeled analytically.
 //
-// Models TCP-over-the-lossy-topology analytically:
-//   * one cached connection per host pair; the first message pays a SYN
-//     handshake (cluster cost model) — this produces the 1st-vs-2nd RPC
-//     split of Figure 6;
-//   * each message transmission attempt survives the route with probability
-//     (1 - per_link_loss)^hops in each direction; lost attempts retransmit
-//     with exponential backoff from a 1 s minimum RTO;
-//   * after max_data_attempts consecutive losses the connection *breaks*
-//     (the paper, section 7.6: "TCP sockets will break under such adverse
-//     network conditions") and the sender's callback reports kBroken;
-//   * per-send CPU occupancy serializes a host's outgoing messages (the XML
-//     messaging cost measured in section 7.4);
-//   * in-order delivery per connection direction.
-// Host crash/restart is modeled with incarnation numbers: deliveries and
-// callbacks addressed to a previous incarnation are dropped.
+// Shared with the sharded engine's ShardedFabric (sharded_fabric.h):
+//   * each transmission attempt's verdict — directional blocks, loss bursts,
+//     route survival in each direction ((1 - per_link_loss)^hops), reorder
+//     jitter, extra delay — comes from SimNetwork::DrawAttempt;
+//   * lost attempts retransmit after TcpParams::RetransmitBackoff, and after
+//     max_data_attempts the sender's callback reports kBroken (the paper,
+//     section 7.6: "TCP sockets will break under such adverse network
+//     conditions");
+//   * the host table (sim_hosts.h) holds each host's endpoint, incarnation
+//     and up flag, serializes a host's sends on its send CPU (the XML
+//     messaging cost of section 7.4), and drops deliveries addressed to a
+//     previous incarnation.
 //
-// The send/deliver fast path is allocation-free and index-addressed: host
-// state lives in a dense vector indexed by HostId, connections in an
-// open-addressed table keyed by the packed host pair, and the per-send
-// retransmission/delivery state in generation-tagged pools (common/pool.h)
-// whose refs are carried through event closures instead of shared_ptrs.
-// WireMessage payloads are ref-counted PayloadBufs, so the delivery slot and
-// the retransmission bookkeeping share one buffer.
+// Only here:
+//   * one cached connection per host pair; under CostModel::Cluster() the
+//     first message pays a SYN handshake, which produces the 1st-vs-2nd RPC
+//     split of Figure 6, and a handshake that never completes fails the
+//     queued sends with kUnreachable;
+//   * in-order delivery per connection direction with head-of-line
+//     blocking: a segment that needs retransmission holds back everything
+//     behind it;
+//   * a crash breaks every connection touching the host, so peers' pending
+//     sends fail with kBroken at once.
+//
+// The send/deliver fast path is allocation-free and index-addressed:
+// connections live in an open-addressed table keyed by the packed host pair,
+// and the per-send retransmission/delivery state in generation-tagged pools
+// (common/pool.h) whose refs are carried through event closures instead of
+// shared_ptrs. WireMessage payloads are ref-counted PayloadBufs, so the
+// delivery slot and the retransmission bookkeeping share one buffer.
 #ifndef FUSE_TRANSPORT_TCP_MODEL_H_
 #define FUSE_TRANSPORT_TCP_MODEL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -36,6 +43,7 @@
 #include "net/network.h"
 #include "sim/environment.h"
 #include "transport/cost_model.h"
+#include "transport/sim_hosts.h"
 #include "transport/transport.h"
 
 namespace fuse {
@@ -44,28 +52,15 @@ class SimFabric final : public TransportLayer {
  public:
   SimFabric(Environment& env, SimNetwork& net, CostModel cost, TcpParams tcp = TcpParams());
 
-  // Returns the transport for `host`, creating the fabric-side state lazily.
-  // Its environment is the base env wrapped in the host's clock-skew facade
-  // (SkewedHostEnv, net/fault_injector.h).
-  Transport* TransportFor(HostId host);
+  // Returns the transport for `host`, created on first use over the base
+  // env (see SimHostTable::TransportFor).
+  Transport* TransportFor(HostId host) { return hosts_.TransportFor(host, env_); }
 
-  // Fail-stop crash: marks the host down in the fault rules, breaks all its
-  // connections, clears its handlers, and bumps its incarnation so stale
-  // deliveries are dropped.
+  // Fail-stop crash (SimHostTable::Crash) that also breaks every connection
+  // touching the host.
   void CrashHost(HostId host);
-  // Brings a crashed host back (fresh incarnation, empty handler table — the
-  // node software re-registers on restart, as in the paper's trivial
-  // stable-storage-free recovery).
-  void RestartHost(HostId host);
-  bool IsHostUp(HostId host) const;
-
-  Environment& env() { return env_; }
-  SimNetwork& network() { return net_; }
-  const CostModel& cost_model() const { return cost_; }
-  const TcpParams& tcp_params() const { return tcp_; }
-
-  // Estimated round-trip latency (no loss); exposed for tests and benches.
-  Duration Rtt(HostId a, HostId b) const;
+  void RestartHost(HostId host) { hosts_.Restart(host); }
+  bool IsHostUp(HostId host) const { return hosts_.IsUp(host); }
 
   void SendFrom(HostId from, WireMessage msg, Transport::SendCallback cb) override;
 
@@ -147,14 +142,6 @@ class SimFabric final : public TransportLayer {
     Topology::PathInfo path[2];  // same direction indexing as delivery_queue
   };
 
-  struct HostState {
-    std::unique_ptr<SkewedHostEnv> host_env;  // created with the transport
-    std::unique_ptr<Transport> transport;     // null until materialized
-    uint64_t incarnation = 1;
-    bool up = true;
-    TimePoint send_busy_until;  // send-CPU serialization
-  };
-
   // Host ids are small sequential values (< 2^32), so the packed key is
   // invertible: lo = key >> 32, hi = key & 0xffffffff.
   static uint64_t PairKey(HostId a, HostId b) {
@@ -163,16 +150,10 @@ class SimFabric final : public TransportLayer {
     return (lo << 32) | hi;
   }
 
-  HostState& StateOf(HostId h);
-  // Read-only lookup: nullptr for hosts the fabric has never materialized.
-  const HostState* FindState(HostId h) const;
   Connection& ConnOf(HostId a, HostId b);
-  // Per-packet route survival probability from the cached hop count
-  // (delegates to SimNetwork so the loss model lives in one place).
-  double RouteSuccess(uint32_t hops) const;
   void StartHandshake(HostId initiator, HostId peer, Connection* conn);
   void AttemptConnect(HostId initiator, HostId peer, uint64_t epoch, int attempt);
-  void FlushPending(HostId a, HostId b, Connection* conn);
+  void FlushPending(Connection* conn);
   void StartDataSend(HostId from, Connection* conn, WireMessage msg, Transport::SendCallback cb);
   void AttemptData(HostId from, SendRef ref);
   void RemoveInflight(Connection& conn, SendRef ref);
@@ -180,14 +161,13 @@ class SimFabric final : public TransportLayer {
   void BreakConnection(Connection* conn);
   // Resolves a scheduled delivery: reclaims the slot, then dispatches.
   void FinishDelivery(SlotRef ref);
-  void Deliver(HostId to, uint64_t incarnation, const WireMessage& msg);
   void InvokeCallback(Transport::SendCallback cb, Status status);
 
   Environment& env_;
   SimNetwork& net_;
   CostModel cost_;
   TcpParams tcp_;
-  std::vector<HostState> hosts_;  // dense, indexed by HostId::value
+  SimHostTable hosts_;
   FlatMap<Connection> connections_;  // keyed by PairKey
   Pool<DataSendState> send_pool_;
   Pool<DeliverySlot> slot_pool_;

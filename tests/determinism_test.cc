@@ -105,17 +105,22 @@ std::string RunScenario(uint64_t seed) {
   return trace;
 }
 
-TEST(DeterminismTest, SameSeedSameTrace) {
-  const std::string a = RunScenario(0xF00D);
-  const std::string b = RunScenario(0xF00D);
-  // For comparing traces across builds (e.g. before/after a transport
-  // refactor), dump the trace when FUSE_TRACE_OUT names a file.
-  if (const char* out = std::getenv("FUSE_TRACE_OUT"); out != nullptr) {
+// For comparing traces across builds (e.g. before/after a transport
+// refactor; scripts/same_schedule.sh), writes `trace` to the file the
+// environment variable `var` names, if it is set.
+void DumpTrace(const char* var, const std::string& trace) {
+  if (const char* out = std::getenv(var); out != nullptr) {
     if (FILE* f = std::fopen(out, "w"); f != nullptr) {
-      std::fputs(a.c_str(), f);
+      std::fputs(trace.c_str(), f);
       std::fclose(f);
     }
   }
+}
+
+TEST(DeterminismTest, SameSeedSameTrace) {
+  const std::string a = RunScenario(0xF00D);
+  const std::string b = RunScenario(0xF00D);
+  DumpTrace("FUSE_TRACE_OUT", a);
   EXPECT_EQ(a, b) << "simulation is not a pure function of its seed";
   // The scenario must actually exercise the notification path.
   EXPECT_NE(a.find("create "), std::string::npos);
@@ -1009,7 +1014,9 @@ TEST(ShardedDeterminismTest, TraceByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(ShardedDeterminismTest, SameSeedSameTrace) {
-  EXPECT_EQ(RunShardedScenario(0xABCD, 2), RunShardedScenario(0xABCD, 2));
+  const std::string a = RunShardedScenario(0xABCD, 2);
+  DumpTrace("FUSE_SHARDED_TRACE_OUT", a);
+  EXPECT_EQ(a, RunShardedScenario(0xABCD, 2));
 }
 
 TEST(ShardedDeterminismTest, DifferentSeedDifferentTrace) {
