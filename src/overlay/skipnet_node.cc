@@ -33,7 +33,10 @@ SkipNetNode::SkipNetNode(Transport* transport, RpcNode* rpc, std::string name, N
       numeric_(numeric),
       config_(config),
       table_(self_.name, config.table),
-      pings_(transport, config.ping_period, config.ping_timeout, config.coalesce_pings) {
+      pings_(transport, config.ping_period, config.ping_timeout, config.coalesce_pings),
+      join_timer_(transport->env()),
+      repair_timer_(transport->env()),
+      leaf_exchange_timer_(transport->env()) {
   transport_->RegisterHandler(msgtype::kOverlayRouted,
                               [this](const WireMessage& m) { HandleRouted(m); });
   transport_->RegisterHandler(msgtype::kOverlayJoinSearchReply,
@@ -60,18 +63,10 @@ void SkipNetNode::Shutdown() {
   }
   shutdown_ = true;
   pings_.Stop();
-  if (join_timer_.valid()) {
-    transport_->env().Cancel(join_timer_);
-    join_timer_ = TimerId();
-  }
-  if (repair_timer_.valid()) {
-    transport_->env().Cancel(repair_timer_);
-    repair_timer_ = TimerId();
-  }
-  if (leaf_exchange_timer_.valid()) {
-    transport_->env().Cancel(leaf_exchange_timer_);
-    leaf_exchange_timer_ = TimerId();
-  }
+  // A retired node is parked, not destroyed: disarm its timers now.
+  join_timer_.Cancel();
+  repair_timer_.Cancel();
+  leaf_exchange_timer_.Cancel();
 }
 
 void SkipNetNode::JoinAsFirst() {
@@ -116,17 +111,11 @@ void SkipNetNode::StartJoinAttempt() {
   msg.payload = EncodeEnvelope(env);
   transport_->Send(std::move(msg), nullptr);
 
-  join_timer_ = transport_->env().Schedule(config_.join_timeout, [this] {
-    join_timer_ = TimerId();
-    StartJoinAttempt();
-  });
+  join_timer_.Start(config_.join_timeout, [this] { StartJoinAttempt(); });
 }
 
 void SkipNetNode::FinishJoin(const Status& status) {
-  if (join_timer_.valid()) {
-    transport_->env().Cancel(join_timer_);
-    join_timer_ = TimerId();
-  }
+  join_timer_.Cancel();
   if (status.ok()) {
     joined_ = true;
     if (config_.start_maintenance_on_join) {
@@ -146,7 +135,7 @@ void SkipNetNode::StartMaintenance() {
   }
   pings_.Start();
   RefreshPingSet();
-  if (!leaf_exchange_timer_.valid()) {
+  if (!leaf_exchange_timer_.pending()) {
     ScheduleLeafExchange();
   }
 }
@@ -166,21 +155,19 @@ void SkipNetNode::RunLeafExchangeOnce() {
 void SkipNetNode::ScheduleLeafExchange() {
   const Duration jitter = Duration::Micros(
       transport_->env().rng().UniformInt(0, config_.leaf_exchange_period.ToMicros() / 4));
-  leaf_exchange_timer_ =
-      transport_->env().Schedule(config_.leaf_exchange_period + jitter, [this] {
-        leaf_exchange_timer_ = TimerId();
-        if (shutdown_) {
-          return;
-        }
-        // Alternate sides; pick the farthest kept leaf (it knows the part of
-        // the ring we see least of).
-        const auto& side = exchange_cw_next_ ? table_.leaf_cw() : table_.leaf_ccw();
-        exchange_cw_next_ = !exchange_cw_next_;
-        if (!side.empty()) {
-          QueryAndMergeNeighborhood(side.back());
-        }
-        ScheduleLeafExchange();
-      });
+  leaf_exchange_timer_.Start(config_.leaf_exchange_period + jitter, [this] {
+    if (shutdown_) {
+      return;
+    }
+    // Alternate sides; pick the farthest kept leaf (it knows the part of
+    // the ring we see least of).
+    const auto& side = exchange_cw_next_ ? table_.leaf_cw() : table_.leaf_ccw();
+    exchange_cw_next_ = !exchange_cw_next_;
+    if (!side.empty()) {
+      QueryAndMergeNeighborhood(side.back());
+    }
+    ScheduleLeafExchange();
+  });
 }
 
 void SkipNetNode::SetRoutedHandler(uint16_t client_tag, RoutedHandler handler) {
@@ -390,10 +377,7 @@ void SkipNetNode::HandleJoinSearchReply(const WireMessage& msg) {
   if (!r.ok()) {
     return;
   }
-  if (join_timer_.valid()) {
-    transport_->env().Cancel(join_timer_);
-    join_timer_ = TimerId();
-  }
+  join_timer_.Cancel();
 
   for (const auto& c : candidates) {
     if (c.valid() && c.host != self_.host && !IsQuarantined(c.host)) {
@@ -641,15 +625,12 @@ void SkipNetNode::OnNeighborFailed(HostId host) {
 }
 
 void SkipNetNode::ScheduleRepair() {
-  if (repair_timer_.valid() || shutdown_) {
+  if (repair_timer_.pending() || shutdown_) {
     return;
   }
   const Duration jitter =
       Duration::Micros(transport_->env().rng().UniformInt(0, config_.repair_delay.ToMicros()));
-  repair_timer_ = transport_->env().Schedule(config_.repair_delay + jitter, [this] {
-    repair_timer_ = TimerId();
-    RunRepair();
-  });
+  repair_timer_.Start(config_.repair_delay + jitter, [this] { RunRepair(); });
 }
 
 void SkipNetNode::RunRepair() {

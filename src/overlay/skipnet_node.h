@@ -21,6 +21,7 @@
 #include "overlay/routing_table.h"
 #include "overlay/skipnet_id.h"
 #include "rpc/rpc.h"
+#include "sim/timer.h"
 #include "transport/transport.h"
 
 namespace fuse {
@@ -182,13 +183,13 @@ class SkipNetNode {
   JoinCallback join_cb_;
   HostId join_bootstrap_;
   int join_attempts_left_ = 0;
-  TimerId join_timer_;
+  Timer join_timer_;
   int climb_level_ = 0;
   bool climb_cw_done_ = false;
 
   // Pending repair.
-  TimerId repair_timer_;
-  TimerId leaf_exchange_timer_;
+  Timer repair_timer_;
+  Timer leaf_exchange_timer_;
   bool exchange_cw_next_ = true;
 
   // Hosts recently detected as failed: not re-adopted from stale candidate

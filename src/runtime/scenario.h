@@ -1,13 +1,19 @@
 // Backend-parameterized fault-schedule scenarios.
 //
-// Each scenario is ONE definition of a full agreement-property experiment —
-// build groups, apply a fault schedule, wait for the paper's guarantee
-// (exactly-once notification to every live member of a failed group, never a
-// duplicate anywhere) — written against ClusterHarness, so the identical
-// schedule runs on the discrete-event simulator (virtual-time waits) and on
-// the live wall-clock runtime (bounded real-time waits). This is the paper's
-// section 7 methodology as an executable artifact: the experiment itself,
-// not just the protocol stack, is deployment-agnostic.
+// Each scenario is ONE definition of a full agreement-property experiment,
+// written against ClusterHarness, so the identical schedule runs on the
+// discrete-event simulator (virtual-time waits) and on the live and process
+// wall-clock backends (bounded real-time waits). A scenario keeps only its
+// member selection, its fault and its claims; the AgreementOracle
+// (runtime/agreement_oracle.h) creates and watches the groups and grades the
+// paper's guarantee: exactly-once notification to every live member of a
+// failed group, never a duplicate anywhere. This is the paper's section 7
+// methodology as an executable artifact: the experiment itself, not just the
+// protocol stack, is deployment-agnostic.
+//
+// Claims per kind: the target (group 0) must fire and the other groups carry
+// no claim, except under kMachineFailure, where every group spanning the
+// victim machine must fire and every machine-disjoint group must stay silent.
 #ifndef FUSE_RUNTIME_SCENARIO_H_
 #define FUSE_RUNTIME_SCENARIO_H_
 
@@ -74,7 +80,7 @@ struct ScenarioResult {
   std::vector<std::string> violations;
   int groups_created = 0;
   int creates_failed = 0;  // definite failures (allowed when tolerated)
-  int notified = 0;        // exactly-once notifications observed on the target
+  int notified = 0;        // exactly-once notifications on the must-fire groups
   // True when even the retried target create failed under tolerated
   // adversity: the fault/notification phase was skipped (vacuous pass).
   bool target_skipped = false;

@@ -1,6 +1,7 @@
 // Sim ↔ live parity: the backend-parameterized fault schedules from
 // runtime/scenario.h — the same definitions property_test.cc runs on the
-// discrete-event simulator — executed against the wall-clock LiveCluster.
+// discrete-event simulator — and the schedule fuzzer's oracle, executed
+// against the wall-clock LiveCluster.
 // This is the paper's section 7 claim made enforceable: one scenario
 // definition, two deployments, same agreement guarantee. These run as the
 // `live-parity` ctest label (gated in CI's main job and, for the
@@ -13,6 +14,7 @@
 #include <thread>
 #include <tuple>
 
+#include "fuzz/fuzz_runner.h"
 #include "runtime/live_cluster.h"
 #include "runtime/scenario.h"
 
@@ -105,6 +107,55 @@ TEST_P(LiveMachineFailure, SpanningGroupsNotifyDisjointGroupsStaySilent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, LiveMachineFailure,
+                         ::testing::Values(TransportKind::kInProcess, TransportKind::kUdp),
+                         [](const ::testing::TestParamInfo<TransportKind>& pinfo) {
+                           return std::string(pinfo.param == TransportKind::kUdp ? "Udp"
+                                                                                 : "InProcess");
+                         });
+
+// The schedule fuzzer's oracle on the wall-clock backend: one hand-written
+// schedule, in milliseconds, run through the harness overload of RunSchedule
+// with the live wait bounds. Seed 5 draws the groups {0,8}, {2,7,9} and
+// {2,3,4}: the first must fire (member 8 crashes, then restarts), the second
+// must fire (it is signaled), and the third may fire but must agree (a pair
+// block inside it and a partition across it, both healed). The same leg pair
+// as the scenarios: in-process and UDP.
+class LiveParitySchedule : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(LiveParitySchedule, FuzzOracleHoldsOverWallClock) {
+  const TransportKind transport = GetParam();
+#if !defined(__linux__)
+  if (transport != TransportKind::kInProcess) {
+    GTEST_SKIP() << "real transports need the Linux epoll loop";
+  }
+#endif
+  FaultSchedule schedule;
+  ASSERT_TRUE(FaultSchedule::FromText(
+      "fuse-fuzz-schedule v1\n"
+      "seed 5\n"
+      "nodes 10\n"
+      "groups 3\n"
+      "crash at_us=0 a=8 b=0 dur_us=0 param=0 group=-\n"
+      "restart at_us=500000 a=8 b=0 dur_us=0 param=0 group=-\n"
+      "block_pair at_us=1000000 a=2 b=3 dur_us=0 param=0 group=-\n"
+      "unblock_pair at_us=1500000 a=2 b=3 dur_us=0 param=0 group=-\n"
+      "partition at_us=2000000 a=0 b=0 dur_us=0 param=0 group=4,5\n"
+      "heal_partitions at_us=3000000 a=0 b=0 dur_us=0 param=0 group=-\n"
+      "signal at_us=3500000 a=1 b=0 dur_us=0 param=0 group=-\n",
+      &schedule));
+  LiveClusterConfig cfg = LiveClusterConfig::FastProtocol(schedule.num_nodes, /*seed=*/42);
+  cfg.transport = transport;
+  LiveCluster cluster(cfg);
+  cluster.Build();
+  FuzzRunOptions opts;
+  opts.timing = ScenarioTiming::Live();
+  const FuzzRunResult r = RunSchedule(cluster, schedule, opts);
+  EXPECT_TRUE(r.ok()) << r.log_line << (r.violations.empty() ? "" : "\n  " + r.violations[0]);
+  EXPECT_EQ(r.groups_created, schedule.num_groups) << r.log_line;
+  EXPECT_GE(r.groups_fired, 1) << r.log_line;
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, LiveParitySchedule,
                          ::testing::Values(TransportKind::kInProcess, TransportKind::kUdp),
                          [](const ::testing::TestParamInfo<TransportKind>& pinfo) {
                            return std::string(pinfo.param == TransportKind::kUdp ? "Udp"
