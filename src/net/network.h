@@ -30,7 +30,9 @@ class SimNetwork {
   size_t NumHosts() const { return host_routers_.size(); }
   RouterId RouterOf(HostId h) const { return host_routers_[h.value]; }
 
-  // One-way latency and physical hop count between two hosts.
+  // One-way latency and physical hop count between two hosts. The first path
+  // from a's AS computes that AS's route row (Topology::GetPath); safe to
+  // call from the sharded simulator's workers.
   Topology::PathInfo GetPath(HostId a, HostId b) const {
     return topology_.GetPath(host_routers_[a.value], host_routers_[b.value]);
   }

@@ -22,7 +22,8 @@ Topology Topology::Generate(const TopologyConfig& config, Rng& rng) {
   const int num_tier1 = std::max(3, static_cast<int>(config.num_as * config.tier1_fraction));
 
   // AS-level adjacency: (neighbor, latency_us). Links are symmetric.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> adj(topo.num_as_);
+  auto& adj = topo.as_adj_;
+  adj.resize(topo.num_as_);
   size_t link_count = 0;
   auto sample_latency = [&](bool t3) -> uint32_t {
     const Duration lo = t3 ? config.t3_latency_min : config.oc3_latency_min;
@@ -100,24 +101,19 @@ Topology Topology::Generate(const TopologyConfig& config, Rng& rng) {
     }
   }
 
-  topo.ComputeAsAllPairs(adj);
+  topo.rows_ = std::make_unique<RouteRow[]>(topo.num_as_);
   return topo;
 }
 
-void Topology::ComputeAsAllPairs(
-    const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>& adj) {
-  const size_t n = num_as_;
-  as_lat_us_.assign(n * n, kUnreachableLat);
-  as_hops_.assign(n * n, 0);
-
-  // Dijkstra from every AS. The AS graph is small (hundreds to a few
-  // thousand nodes), so this is cheap and done once per topology.
-  using HeapEntry = std::pair<uint64_t, uint32_t>;  // (dist, as)
-  std::vector<uint64_t> dist(n);
-  std::vector<uint16_t> hops(n);
-  for (uint32_t src = 0; src < n; ++src) {
-    std::fill(dist.begin(), dist.end(), std::numeric_limits<uint64_t>::max());
-    std::fill(hops.begin(), hops.end(), 0);
+const std::vector<Topology::RouteEntry>& Topology::Row(uint32_t src) const {
+  RouteRow& row = rows_[src];
+  std::call_once(row.once, [&] {
+    // Dijkstra from src. The AS graph is small (hundreds to a few thousand
+    // nodes), so one row is cheap.
+    const size_t n = num_as_;
+    using HeapEntry = std::pair<uint64_t, uint32_t>;  // (dist, as)
+    std::vector<uint64_t> dist(n, std::numeric_limits<uint64_t>::max());
+    std::vector<uint16_t> hops(n, 0);
     std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
     dist[src] = 0;
     heap.emplace(0, src);
@@ -127,7 +123,7 @@ void Topology::ComputeAsAllPairs(
       if (d > dist[u]) {
         continue;
       }
-      for (const auto& [v, w] : adj[u]) {
+      for (const auto& [v, w] : as_adj_[u]) {
         const uint64_t nd = d + w;
         if (nd < dist[v]) {
           dist[v] = nd;
@@ -136,13 +132,22 @@ void Topology::ComputeAsAllPairs(
         }
       }
     }
-    for (uint32_t dst = 0; dst < n; ++dst) {
-      if (dist[dst] != std::numeric_limits<uint64_t>::max()) {
-        as_lat_us_[src * n + dst] = static_cast<uint32_t>(dist[dst]);
-        as_hops_[src * n + dst] = hops[dst];
-      }
+    row.to.resize(n);
+    for (size_t dst = 0; dst < n; ++dst) {
+      row.to[dst] = dist[dst] == std::numeric_limits<uint64_t>::max()
+                        ? RouteEntry{kUnreachableLat, 0}
+                        : RouteEntry{static_cast<uint32_t>(dist[dst]), hops[dst]};
     }
+  });
+  return row.to;
+}
+
+size_t Topology::DebugRowsComputed() const {
+  size_t computed = 0;
+  for (size_t as = 0; as < num_as_; ++as) {
+    computed += rows_[as].to.empty() ? 0 : 1;
   }
+  return computed;
 }
 
 Topology::PathInfo Topology::GetPath(RouterId a, RouterId b) const {
@@ -158,11 +163,10 @@ Topology::PathInfo Topology::GetPath(RouterId a, RouterId b) const {
     return PathInfo{Duration::Micros(ra.to_core_lat_us + rb.to_core_lat_us),
                     static_cast<uint32_t>(ra.depth + rb.depth)};
   }
-  const size_t idx = static_cast<size_t>(ra.as_index) * num_as_ + rb.as_index;
-  const uint32_t as_lat = as_lat_us_[idx];
-  FUSE_CHECK(as_lat != kUnreachableLat) << "AS graph must be connected";
-  return PathInfo{Duration::Micros(ra.to_core_lat_us + as_lat + rb.to_core_lat_us),
-                  static_cast<uint32_t>(ra.depth + as_hops_[idx] + rb.depth)};
+  const RouteEntry& route = Row(ra.as_index)[rb.as_index];
+  FUSE_CHECK(route.lat_us != kUnreachableLat) << "AS graph must be connected";
+  return PathInfo{Duration::Micros(ra.to_core_lat_us + route.lat_us + rb.to_core_lat_us),
+                  static_cast<uint32_t>(ra.depth + route.hops + rb.depth)};
 }
 
 }  // namespace fuse

@@ -13,10 +13,20 @@
 // and keeps a few stub-stub peering links. Within an AS, each router sits at a
 // sampled depth below the AS core; intra-AS hops have sub-millisecond-to-low-
 // millisecond latencies. See DESIGN.md ("Simulated / substituted pieces").
+//
+// Routes are computed on demand: the topology keeps only its AS adjacency
+// lists, and the first path asked for from a source AS runs one Dijkstra from
+// that AS and caches its row (latency and hop count to every AS) for the
+// topology's lifetime. A simulated cluster thus routes only from the ASs its
+// hosts occupy, whatever the size of the AS graph. First use of a row is
+// thread-safe: the sharded simulator's workers resolve paths concurrently.
 #ifndef FUSE_NET_TOPOLOGY_H_
 #define FUSE_NET_TOPOLOGY_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -76,28 +86,51 @@ class Topology {
   }
 
   // One-way path between two routers (shortest AS-level latency path through
-  // the core hierarchy). Same router => a single local hop.
+  // the core hierarchy). Same router => a single local hop. The first call
+  // from a's AS computes that AS's route row; safe to call from any thread.
   PathInfo GetPath(RouterId a, RouterId b) const;
 
-  // AS-core to AS-core one-way latency in microseconds (0 for a == b). Used
-  // by the sharded simulator's lookahead computation, which needs the
-  // AS-level component of GetPath without enumerating router pairs.
+  // AS-core to AS-core one-way latency in microseconds (0 for a == b;
+  // UINT32_MAX for a disconnected pair). Used by the sharded simulator's
+  // lookahead computation, which needs the AS-level component of GetPath
+  // without enumerating router pairs. Computes as_a's row on first use, like
+  // GetPath.
   uint32_t AsLatencyUs(uint32_t as_a, uint32_t as_b) const {
-    return as_a == as_b ? 0 : as_lat_us_[static_cast<size_t>(as_a) * num_as_ + as_b];
+    return as_a == as_b ? 0 : Row(as_a)[as_b].lat_us;
   }
 
+  // An AS's links: (neighbor AS, one-way latency in microseconds).
+  const std::vector<std::pair<uint32_t, uint32_t>>& AsLinks(uint32_t as) const {
+    return as_adj_[as];
+  }
+
+  // Number of route rows computed so far. For tests; not safe concurrently
+  // with a first use.
+  size_t DebugRowsComputed() const;
+
  private:
+  // Shortest path (by latency) from a row's source AS to one AS.
+  struct RouteEntry {
+    uint32_t lat_us;  // UINT32_MAX when unreachable (should not occur)
+    uint16_t hops;
+  };
+  // One source AS's routes, filled by the first caller through `once`.
+  struct RouteRow {
+    std::once_flag once;
+    std::vector<RouteEntry> to;
+  };
+
   Topology() = default;
 
-  void ComputeAsAllPairs(const std::vector<std::vector<std::pair<uint32_t, uint32_t>>>& adj);
+  const std::vector<RouteEntry>& Row(uint32_t src) const;
 
   size_t num_as_ = 0;
   size_t num_as_links_ = 0;
   std::vector<Router> routers_;
-  // Flattened num_as x num_as tables from the AS-level all-pairs shortest
-  // path (by latency); kUnreachable for disconnected pairs (should not occur).
-  std::vector<uint32_t> as_lat_us_;
-  std::vector<uint16_t> as_hops_;
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> as_adj_;
+  // One row per source AS, heap-held so the cache survives moving the
+  // topology (a once_flag cannot move).
+  std::unique_ptr<RouteRow[]> rows_;
 };
 
 }  // namespace fuse

@@ -213,7 +213,8 @@ void ShardedFabric::FinalizeLookahead() {
     }
   }
   // Cross-AS: core distance + AS-path latency + core distance, with the two
-  // endpoints forced onto different shards.
+  // endpoints forced onto different shards. AsLatencyUs routes from the
+  // host-bearing ASs only, the rows the workers' GetPath calls need anyway.
   for (size_t i = 0; i < touched.size(); ++i) {
     for (size_t j = i + 1; j < touched.size(); ++j) {
       const uint32_t a = touched[i];

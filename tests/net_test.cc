@@ -4,6 +4,12 @@
 // and a median RTT near 130 ms with a heavy tail.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <thread>
+
 #include "common/stats.h"
 #include "net/fault_injector.h"
 #include "net/network.h"
@@ -58,11 +64,183 @@ TEST(TopologyTest, PathIsSymmetric) {
   }
 }
 
+// Reference for the on-demand route rows: Dijkstra from every AS over the
+// topology's own AS links, filling whole num_as x num_as tables up front.
+struct AllPairs {
+  std::vector<uint32_t> lat_us;
+  std::vector<uint16_t> hops;
+};
+
+AllPairs ComputeAllPairs(const Topology& topo) {
+  const size_t n = topo.NumAs();
+  AllPairs ref;
+  ref.lat_us.assign(n * n, std::numeric_limits<uint32_t>::max());
+  ref.hops.assign(n * n, 0);
+  using HeapEntry = std::pair<uint64_t, uint32_t>;  // (dist, as)
+  std::vector<uint64_t> dist(n);
+  std::vector<uint16_t> hops(n);
+  for (uint32_t src = 0; src < n; ++src) {
+    std::fill(dist.begin(), dist.end(), std::numeric_limits<uint64_t>::max());
+    std::fill(hops.begin(), hops.end(), 0);
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
+    dist[src] = 0;
+    heap.emplace(0, src);
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[u]) {
+        continue;
+      }
+      for (const auto& [v, w] : topo.AsLinks(u)) {
+        const uint64_t nd = d + w;
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          hops[v] = static_cast<uint16_t>(hops[u] + 1);
+          heap.emplace(nd, v);
+        }
+      }
+    }
+    for (uint32_t dst = 0; dst < n; ++dst) {
+      if (dist[dst] != std::numeric_limits<uint64_t>::max()) {
+        ref.lat_us[src * n + dst] = static_cast<uint32_t>(dist[dst]);
+        ref.hops[src * n + dst] = hops[dst];
+      }
+    }
+  }
+  return ref;
+}
+
+// One router per AS (the first the generator placed there).
+std::vector<RouterId> RouterPerAs(const Topology& topo) {
+  std::vector<RouterId> first(topo.NumAs());
+  std::vector<bool> seen(topo.NumAs(), false);
+  for (uint64_t r = 0; r < topo.NumRouters(); ++r) {
+    const uint32_t as = topo.router(RouterId(r)).as_index;
+    if (!seen[as]) {
+      seen[as] = true;
+      first[as] = RouterId(r);
+    }
+  }
+  return first;
+}
+
+// Route rows computed on first use give exactly the all-pairs answers, and
+// a cluster on k routers computes at most k rows.
+TEST(TopologyTest, OnDemandRoutesMatchAllPairs) {
+  for (const int num_as : {20, 100, 600}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "num_as=" << num_as << " seed=" << seed);
+      Rng rng(seed);
+      TopologyConfig cfg;
+      cfg.num_as = num_as;
+      const Topology topo = Topology::Generate(cfg, rng);
+      EXPECT_EQ(topo.DebugRowsComputed(), 0u);
+
+      // Resolving paths from k routers touches at most k source ASs.
+      constexpr int kRouters = 7;
+      Rng pick(seed + 100);
+      std::vector<RouterId> sources;
+      std::vector<bool> source_as(topo.NumAs(), false);
+      size_t distinct_as = 0;
+      for (int i = 0; i < kRouters; ++i) {
+        sources.push_back(topo.RandomRouter(pick));
+        const uint32_t as = topo.router(sources.back()).as_index;
+        distinct_as += source_as[as] ? 0 : 1;
+        source_as[as] = true;
+      }
+      for (const RouterId a : sources) {
+        for (int j = 0; j < 50; ++j) {
+          topo.GetPath(a, topo.RandomRouter(pick));
+        }
+      }
+      EXPECT_LE(topo.DebugRowsComputed(), static_cast<size_t>(kRouters));
+      EXPECT_EQ(topo.DebugRowsComputed(), distinct_as);
+
+      const AllPairs ref = ComputeAllPairs(topo);
+      const std::vector<RouterId> rep = RouterPerAs(topo);
+      const size_t n = topo.NumAs();
+      for (uint32_t a = 0; a < n; ++a) {
+        const Topology::Router& ra = topo.router(rep[a]);
+        for (uint32_t b = 0; b < n; ++b) {
+          if (a == b) {
+            EXPECT_EQ(topo.AsLatencyUs(a, b), 0u);
+            continue;
+          }
+          const size_t idx = static_cast<size_t>(a) * n + b;
+          ASSERT_EQ(topo.AsLatencyUs(a, b), ref.lat_us[idx]) << a << "->" << b;
+          const Topology::Router& rb = topo.router(rep[b]);
+          const Topology::PathInfo p = topo.GetPath(rep[a], rep[b]);
+          ASSERT_EQ(p.latency.ToMicros(),
+                    static_cast<int64_t>(ra.to_core_lat_us) + ref.lat_us[idx] + rb.to_core_lat_us)
+              << a << "->" << b;
+          ASSERT_EQ(p.hops, static_cast<uint32_t>(ra.depth + ref.hops[idx] + rb.depth))
+              << a << "->" << b;
+        }
+      }
+      EXPECT_EQ(topo.DebugRowsComputed(), n);
+    }
+  }
+}
+
+// First use of a route row from several threads at once (the sharded
+// simulator's workers resolve paths on every attempt) gives every thread the
+// single-threaded answers.
+TEST(TopologyTest, ConcurrentFirstUse) {
+  TopologyConfig cfg;
+  cfg.num_as = 600;
+  Rng rng_a(5);
+  const Topology reference = Topology::Generate(cfg, rng_a);
+  Rng rng_b(5);
+  const Topology fresh = Topology::Generate(cfg, rng_b);
+  ASSERT_EQ(fresh.DebugRowsComputed(), 0u);
+
+  // A few source routers, so the threads collide on the same rows.
+  Rng pick(6);
+  std::vector<RouterId> sources;
+  for (int i = 0; i < 8; ++i) {
+    sources.push_back(reference.RandomRouter(pick));
+  }
+  std::vector<std::pair<RouterId, RouterId>> pairs;
+  for (int i = 0; i < 400; ++i) {
+    pairs.emplace_back(sources[i % sources.size()], reference.RandomRouter(pick));
+  }
+  std::vector<Topology::PathInfo> expect;
+  for (const auto& [a, b] : pairs) {
+    expect.push_back(reference.GetPath(a, b));
+  }
+
+  constexpr int kThreads = 4;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<Topology::PathInfo>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (const auto& [a, b] : pairs) {
+        got[t].push_back(fresh.GetPath(a, b));
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(got[t][i].latency.ToMicros(), expect[i].latency.ToMicros()) << "thread " << t;
+      EXPECT_EQ(got[t][i].hops, expect[i].hops) << "thread " << t;
+    }
+  }
+  EXPECT_LE(fresh.DebugRowsComputed(), sources.size());
+}
+
 // Calibration against the paper's reported route statistics.
 TEST(TopologyTest, CalibrationMatchesPaperRouteStats) {
   Rng rng(7);
   const TopologyConfig cfg;  // defaults are the calibrated values
-  const Topology topo = Topology::Generate(cfg, rng);
+  Topology topo = Topology::Generate(cfg, rng);
   SimNetwork net{std::move(topo)};
   Rng pick(8);
   std::vector<HostId> hosts;
