@@ -498,12 +498,17 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     }
     // Delivered at a node that is not (and is not becoming) the group's
     // root: the route toward the root's name dead-ended short of it — the
-    // root crashed, or its name region is partitioned away. A checking path
-    // that is not anchored at the root must fail loudly (paper 6.5: a
-    // message that encounters a node with no knowledge of the group signals
-    // a HardNotification), or the member would monitor a dangling path
-    // forever.
+    // root crashed, or its name region is partitioned away — or the root
+    // already failed the group (an explicit signal that overtook the
+    // install). A checking path that is not anchored at the root must fail
+    // loudly (paper 6.5: a message that encounters a node with no knowledge
+    // of the group signals a HardNotification), or the member would monitor
+    // a dangling path forever. The delegates this install created hold a
+    // half path: a SoftNotification back along it tears them down now, not
+    // at link_liveness_timeout. It carries the install's seq, so a delegate
+    // a newer repair round re-installed ignores it (6.4).
     SendHard(id, member.host);
+    SendSoft(upcall.prev_hop, EncodeIdSeq(id, seq));
     return false;
   }
 
@@ -899,17 +904,20 @@ void FuseNode::OnReconcileReply(const WireMessage& msg) {
 void FuseNode::SendSoftToTree(GroupState& g, HostId except, uint32_t seq) {
   const PayloadBuf payload = EncodeIdSeq(g.id, seq);
   for (const HostId peer : g.links) {
-    if (peer == except) {
-      continue;
+    if (peer != except) {
+      SendSoft(peer, payload);
     }
-    WireMessage msg;
-    msg.to = peer;
-    msg.type = msgtype::kFuseSoftNotification;
-    msg.category = MsgCategory::kFuseSoftNotification;
-    msg.payload = payload;
-    transport_->Send(std::move(msg), nullptr);
-    stats_.soft_notifications_sent++;
   }
+}
+
+void FuseNode::SendSoft(HostId to, const PayloadBuf& payload) {
+  WireMessage msg;
+  msg.to = to;
+  msg.type = msgtype::kFuseSoftNotification;
+  msg.category = MsgCategory::kFuseSoftNotification;
+  msg.payload = payload;
+  transport_->Send(std::move(msg), nullptr);
+  stats_.soft_notifications_sent++;
 }
 
 void FuseNode::SendHard(FuseId id, HostId to) {

@@ -275,6 +275,7 @@ class FuseNode {
 
   // --- notifications ---
   void SendSoftToTree(GroupState& g, HostId except, uint32_t seq);
+  void SendSoft(HostId to, const PayloadBuf& payload);
   void SendHard(FuseId id, HostId to);
   // Hard to every member but `except`, Soft down the tree, local upcall.
   void RootFailGroup(GroupState& g, HostId except = HostId());

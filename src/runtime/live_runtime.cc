@@ -97,7 +97,9 @@ TimerId LiveRuntime::Schedule(Duration d, UniqueFunction fn) {
     seq = next_seq_++;
     by_seq_.emplace(seq, queue_.emplace(QueueKey(when, seq), std::move(fn)).first);
   }
-  WakeLoop();
+  if (!OnLoopThread()) {
+    WakeLoop();
+  }
   return TimerId(seq);
 }
 
@@ -131,6 +133,36 @@ void LiveRuntime::RunDueTimers(std::unique_lock<std::mutex>& lock) {
   }
 }
 
+uint64_t LiveRuntime::RunBeforeWait(UniqueFunction fn) {
+  const uint64_t key = next_hook_key_++;
+  before_wait_.emplace_back(key, std::move(fn));
+  return key;
+}
+
+void LiveRuntime::CancelBeforeWait(uint64_t key) {
+  for (auto& [k, fn] : before_wait_) {
+    if (k == key) {
+      k = 0;
+      fn = nullptr;
+      return;
+    }
+  }
+}
+
+void LiveRuntime::RunBeforeWaitHooks() {
+  // By index: a hook may append (runs in this drain) or cancel (clears its
+  // slot) while the list drains. A running hook's key is zeroed first, so
+  // cancelling it from inside is a no-op.
+  for (size_t i = 0; i < before_wait_.size(); ++i) {
+    UniqueFunction fn = std::move(before_wait_[i].second);
+    before_wait_[i].first = 0;
+    if (fn) {
+      fn();
+    }
+  }
+  before_wait_.clear();
+}
+
 #if FUSE_LIVE_RUNTIME_EPOLL
 
 void LiveRuntime::Loop() {
@@ -141,6 +173,13 @@ void LiveRuntime::Loop() {
   auto armed = std::chrono::steady_clock::time_point::min();
   while (true) {
     RunDueTimers(lock);
+    if (!before_wait_.empty()) {
+      // Also on the way out: frames queued before Stop() still leave.
+      lock.unlock();
+      RunBeforeWaitHooks();
+      lock.lock();
+      continue;  // a hook may have scheduled due work
+    }
     if (stopping_) {
       return;
     }
@@ -220,6 +259,13 @@ void LiveRuntime::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     RunDueTimers(lock);
+    if (!before_wait_.empty()) {
+      // Also on the way out: frames queued before Stop() still leave.
+      lock.unlock();
+      RunBeforeWaitHooks();
+      lock.lock();
+      continue;  // a hook may have scheduled due work
+    }
     if (stopping_) {
       return;
     }

@@ -15,6 +15,13 @@
 // threads. On other platforms a plain condition-variable timer loop is kept
 // (WatchFd is unavailable there).
 //
+// One loop turn: run the due timers, run the before-wait hooks
+// (RunBeforeWait; the socket transport flushes each written-to socket here,
+// one send(2) per socket per turn), re-arm the timerfd to the earliest
+// deadline, then block in epoll_wait and dispatch the ready fds. The portable
+// loop takes the same turn with a condition-variable wait in place of
+// epoll_wait.
+//
 // In-process message delivery (the runtime is itself a TransportLayer) is
 // retained for the single-process LiveCluster backend. Fault semantics are
 // expressed through the same FaultInjector rule set the simulator fabric
@@ -63,10 +70,13 @@ class LiveRuntime final : public Environment, public TransportLayer {
   ~LiveRuntime() override;
 
   // Environment. Now/Schedule/Cancel are callable from any thread; handlers
-  // run on the loop thread. rng() is protocol state and must only be drawn
-  // from on the loop thread (Send, callable from any thread, draws from its
-  // own mutex-guarded generator instead — one lock on one side of a shared
-  // generator would not synchronize anything).
+  // run on the loop thread. Schedule wakes the loop only when called from
+  // another thread: the loop re-reads the earliest deadline before it next
+  // waits, so a timer armed from a handler or a timer callback is never
+  // missed. rng() is protocol state and must only be drawn from on the loop
+  // thread (Send, callable from any thread, draws from its own mutex-guarded
+  // generator instead — one lock on one side of a shared generator would not
+  // synchronize anything).
   TimePoint Now() const override;
   TimerId Schedule(Duration d, UniqueFunction fn) override;
   bool Cancel(TimerId id) override;
@@ -87,6 +97,16 @@ class LiveRuntime final : public Environment, public TransportLayer {
   // and the caller is released with false instead of blocking forever.
   bool RunOnLoop(std::function<void()> fn);
   bool OnLoopThread() const { return std::this_thread::get_id() == loop_id_; }
+
+  // Runs `fn` once on the loop thread, after this turn's due timers and I/O
+  // handlers and before the loop next waits (or exits after Stop()). Loop
+  // thread only. Lets a layer batch a turn's work (the socket transport's
+  // writes) into one action per turn. A hook added by a hook runs in the
+  // same drain. Returns a key for CancelBeforeWait.
+  uint64_t RunBeforeWait(UniqueFunction fn);
+  // Drops a hook that has not started yet; a no-op for one that ran, is
+  // running, or was cancelled. Loop thread only (or after Stop()).
+  void CancelBeforeWait(uint64_t key);
 
   // --- epoll I/O surface (Linux only; FUSE_CHECK-fails elsewhere) ---
   // Registers `fd` with the loop's epoll set; `handler` runs on the loop
@@ -133,6 +153,8 @@ class LiveRuntime final : public Environment, public TransportLayer {
   // Pops and runs every timer due at `now`; called with `lock` held, returns
   // with it held.
   void RunDueTimers(std::unique_lock<std::mutex>& lock);
+  // Runs the before-wait hooks; called without the lock.
+  void RunBeforeWaitHooks();
 
   Config config_;
   Rng rng_;       // protocol stream: loop-thread only (via Environment::rng())
@@ -154,6 +176,10 @@ class LiveRuntime final : public Environment, public TransportLayer {
   // RunOnLoop calls whose wrapper has not started running yet, keyed by the
   // wrapper's timer seq. Stop() signals the survivors after joining the loop.
   std::unordered_map<uint64_t, std::shared_ptr<MarshalState>> pending_marshals_;
+  // Run-once hooks for the end of the current loop turn, keyed for
+  // CancelBeforeWait. Loop thread only, so unguarded.
+  std::vector<std::pair<uint64_t, UniqueFunction>> before_wait_;
+  uint64_t next_hook_key_ = 1;
 
   // Dense by HostId (CreateHost hands out sequential ids). Guarded by mu_,
   // which also guards each endpoint's handler table.

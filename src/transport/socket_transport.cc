@@ -25,11 +25,26 @@ constexpr uint8_t kFrameData = 1;
 constexpr uint8_t kFrameAck = 2;   // delivered (dispatched or ignored) at dest
 constexpr uint8_t kFrameNack = 3;  // refused: fault rules / not local here
 
-// A frame larger than this is a corrupted stream, not a message.
-constexpr uint32_t kMaxFrameBytes = 64u << 20;
-
 int SetNonBlockingSocket() {
   return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+}
+
+// Drops the consumed prefix [0, head) of `buf`: all of it once everything is
+// consumed, giving back capacity above the cap; otherwise only once the
+// prefix is large and at least half the buffer, so compaction stays
+// amortized O(1) per byte.
+void Compact(std::vector<uint8_t>& buf, size_t& head) {
+  if (head == buf.size()) {
+    if (buf.capacity() > FramedSocket::kBufferCapBytes) {
+      std::vector<uint8_t>().swap(buf);
+    } else {
+      buf.clear();
+    }
+    head = 0;
+  } else if (head >= FramedSocket::kBufferCapBytes && head * 2 >= buf.size()) {
+    buf.erase(buf.begin(), buf.begin() + static_cast<ptrdiff_t>(head));
+    head = 0;
+  }
 }
 
 }  // namespace
@@ -46,6 +61,12 @@ void FramedSocket::Adopt(int fd, bool connecting) {
 }
 
 void FramedSocket::CloseFd() {
+  if (flush_hook_ != 0) {
+    rt_->CancelBeforeWait(flush_hook_);
+    flush_hook_ = 0;
+  }
+  std::vector<uint8_t>().swap(out_);
+  out_head_ = 0;
   if (fd_ >= 0) {
     rt_->UnwatchFd(fd_);
     ::close(fd_);
@@ -71,6 +92,20 @@ void FramedSocket::SendFrame(const uint8_t* data, size_t len) {
   out_.resize(at + 4 + len);
   std::memcpy(out_.data() + at, &n, 4);
   std::memcpy(out_.data() + at + 4, data, len);
+  if ((mask_ & EPOLLOUT) != 0) {
+    return;  // backpressure: the writable event flushes
+  }
+  if (out_.size() - out_head_ >= kBufferCapBytes) {
+    Flush();
+  } else if (flush_hook_ == 0) {
+    flush_hook_ = rt_->RunBeforeWait([this] {
+      flush_hook_ = 0;
+      Flush();
+    });
+  }
+}
+
+void FramedSocket::Flush() {
   TryFlush();
   UpdateMask();
 }
@@ -84,21 +119,43 @@ void FramedSocket::TryFlush() {
       out_head_ += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Under sustained backpressure, compact the flushed prefix so the
-      // buffer is bounded by the unsent backlog, not total traffic.
-      if (out_head_ >= 65536) {
-        out_.erase(out_.begin(), out_.begin() + static_cast<ptrdiff_t>(out_head_));
-        out_head_ = 0;
-      }
-      return;
-    }
-    // A hard write error surfaces as EPOLLERR/HUP on the next wait; the
-    // read path reports the close exactly once.
-    return;
+    // EAGAIN: EPOLLOUT resumes the flush. A hard write error surfaces as
+    // EPOLLERR/HUP on the next wait; the read path reports the close exactly
+    // once.
+    break;
   }
-  out_.clear();
-  out_head_ = 0;
+  // Under sustained backpressure this keeps the buffer bounded by the unsent
+  // backlog, not total traffic.
+  Compact(out_, out_head_);
+}
+
+bool FramedSocket::DeliverFrames() {
+  // on_frame_ must not destroy this socket (the fabric never tears a
+  // connection down from its own inbound frame).
+  while (in_.size() - in_head_ >= 4) {
+    uint32_t frame_len;
+    std::memcpy(&frame_len, in_.data() + in_head_, 4);
+    if (frame_len > kMaxFrameBytes) {
+      CloseFd();
+      if (auto fn = on_close_) {
+        fn();
+      }
+      return false;
+    }
+    if (in_.size() - in_head_ < 4 + static_cast<size_t>(frame_len)) {
+      break;
+    }
+    const uint8_t* body = in_.data() + in_head_ + 4;
+    in_head_ += 4 + frame_len;
+    if (on_frame_) {
+      on_frame_(body, frame_len);
+    }
+    if (fd_ < 0) {
+      return false;  // a frame handler closed us (corrupt stream)
+    }
+  }
+  Compact(in_, in_head_);
+  return true;
 }
 
 void FramedSocket::OnEvents(uint32_t events) {
@@ -126,67 +183,35 @@ void FramedSocket::OnEvents(uint32_t events) {
     return;
   }
   if (events & EPOLLOUT) {
-    TryFlush();
-    UpdateMask();
+    Flush();
   }
-  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-    uint8_t buf[65536];
-    bool closed = false;
-    for (;;) {
-      rt_->metrics().IncCounter(Counter::kTransportRecvSyscalls);
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n > 0) {
-        in_.insert(in_.end(), buf, buf + n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      }
-      // EOF or hard error. Complete frames already buffered are still
-      // delivered below before the close surfaces — a peer's final acks
-      // and control frames must not vanish with its connection.
-      closed = true;
-      break;
-    }
-    // Deliver complete frames. on_frame_ must not destroy this socket (the
-    // fabric never tears a connection down from its own inbound frame).
-    while (in_.size() - in_head_ >= 4) {
-      uint32_t frame_len;
-      std::memcpy(&frame_len, in_.data() + in_head_, 4);
-      if (frame_len > kMaxFrameBytes) {
-        CloseFd();
-        if (auto fn = on_close_) {
-          fn();
-        }
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) == 0) {
+    return;
+  }
+  uint8_t buf[65536];
+  for (;;) {
+    rt_->metrics().IncCounter(Counter::kTransportRecvSyscalls);
+    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    if (n > 0) {
+      // Deliver each chunk's frames before reading the next, so a burst is
+      // never buffered whole.
+      in_.insert(in_.end(), buf, buf + n);
+      if (!DeliverFrames()) {
         return;
       }
-      if (in_.size() - in_head_ < 4 + static_cast<size_t>(frame_len)) {
-        break;
-      }
-      const uint8_t* body = in_.data() + in_head_ + 4;
-      in_head_ += 4 + frame_len;
-      if (on_frame_) {
-        on_frame_(body, frame_len);
-      }
-      if (fd_ < 0) {
-        return;  // a frame handler closed us (corrupt stream)
-      }
+      continue;
     }
-    if (in_head_ == in_.size()) {
-      in_.clear();
-      in_head_ = 0;
-    } else if (in_head_ >= 65536 && in_head_ * 2 >= in_.size()) {
-      in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_head_));
-      in_head_ = 0;
-    }
-    if (closed) {
-      // Tail position: the handler may destroy this object.
-      CloseFd();
-      if (auto fn = on_close_) {
-        fn();
-      }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       return;
     }
+    // EOF or hard error. Complete frames already read were delivered above:
+    // a peer's final acks and control frames do not vanish with its
+    // connection. Tail position: the handler may destroy this object.
+    CloseFd();
+    if (auto fn = on_close_) {
+      fn();
+    }
+    return;
   }
 }
 

@@ -17,6 +17,12 @@
 // kBroken ("TCP sockets will break under such adverse network conditions",
 // paper section 7.6). In-order delivery per connection is inherited from TCP.
 //
+// Frames leave once per loop turn: a send only queues its frame, and the
+// connection makes one send(2) for everything queued on it when the loop
+// finishes the turn, or at once when its unsent backlog reaches
+// FramedSocket::kBufferCapBytes. The acks a receiver owes for the frames
+// it dispatched in a turn ride in the same write.
+//
 // Fault rules (the same FaultInjector vocabulary the other fabrics consult)
 // are evaluated sender-side on every send AND receiver-side on every
 // delivery: a message in flight across a partition boundary is refused by the
@@ -47,8 +53,23 @@ class SocketFabric;
 // by a LiveRuntime epoll loop. Used for the TCP data connections and for the
 // process-deployment control channels (unix socketpairs). All methods must
 // run on the loop thread.
+//
+// Writes are batched per loop turn: SendFrame appends to the outgoing buffer
+// and marks the socket dirty, and the loop's before-wait hook
+// (LiveRuntime::RunBeforeWait) makes one send(2) for everything the turn
+// queued, data frames and acks alike. A socket whose unsent backlog reaches
+// kBufferCapBytes flushes at once. Received bytes are delivered as frames
+// after each recv(2) chunk. Both buffers give back capacity above
+// kBufferCapBytes once drained, so a burst does not pin its peak.
 class FramedSocket {
  public:
+  // A frame larger than this is a corrupted stream, not a message.
+  static constexpr uint32_t kMaxFrameBytes = 64u << 20;
+  // Unsent bytes at which SendFrame flushes without waiting for the end of
+  // the loop turn, and the capacity a drained buffer may keep for the next
+  // burst.
+  static constexpr size_t kBufferCapBytes = 64u << 10;
+
   // `on_frame` receives each complete frame body. `on_close` fires once on
   // EOF/error (tail position: it may destroy this FramedSocket). `on_connect`
   // resolves a nonblocking connect; on failure the socket is already closed
@@ -69,19 +90,25 @@ class FramedSocket {
   // `connecting` marks an in-flight nonblocking connect().
   void Adopt(int fd, bool connecting);
 
-  // Queues one frame ([length] prefix added here) and flushes what the socket
-  // accepts. Silently drops when not adopted/open yet — callers queue frames
+  // Queues one frame ([length] prefix added here); it leaves at the end of
+  // the loop turn, or now if the backlog reached kBufferCapBytes.
+  // Silently drops when not adopted/open yet — callers queue frames
   // themselves until on_connect(true).
   void SendFrame(const uint8_t* data, size_t len);
 
   bool open() const { return fd_ >= 0 && !connecting_; }
   int fd() const { return fd_; }
+  // Capacity held by the receive and send buffers.
+  size_t buffer_capacity() const { return in_.capacity() + out_.capacity(); }
 
-  // Unwatches and closes. Safe to call repeatedly.
+  // Unwatches and closes, dropping unsent frames. Safe to call repeatedly.
   void CloseFd();
 
  private:
   void OnEvents(uint32_t events);
+  // Delivers the complete frames in in_. Returns false if the socket closed.
+  bool DeliverFrames();
+  void Flush();
   void TryFlush();
   void UpdateMask();
 
@@ -93,6 +120,8 @@ class FramedSocket {
   size_t in_head_ = 0;
   std::vector<uint8_t> out_;
   size_t out_head_ = 0;
+  // Key of the pending end-of-turn flush (0: none).
+  uint64_t flush_hook_ = 0;
   FrameHandler on_frame_;
   std::function<void()> on_close_;
   std::function<void(bool)> on_connect_;

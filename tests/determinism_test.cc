@@ -789,15 +789,15 @@ TEST(DeterminismTest, GoldenGroupLinkTableTrace) {
       "msgs overlay_routed n=0 bytes=0\n"
       "msgs fuse_create n=1200 bytes=102600\n"
       "msgs fuse_install_checking n=958 bytes=126456\n"
-      "msgs fuse_soft_notification n=272 bytes=18496\n"
+      "msgs fuse_soft_notification n=274 bytes=18632\n"
       "msgs fuse_hard_notification n=748 bytes=47872\n"
       "msgs fuse_need_repair n=549 bytes=37332\n"
       "msgs fuse_repair n=526 bytes=38180\n"
-      "msgs fuse_reconcile n=70 bytes=21280\n"
+      "msgs fuse_reconcile n=62 bytes=19968\n"
       "msgs rpc n=0 bytes=0\n"
       "msgs app n=0 bytes=0\n"
       "msgs transport_control n=0 bytes=0\n"
-      "events=44788 now=646083291 live=21\n";
+      "events=44770 now=646083291 live=21\n";
   if (trace != golden) {
     std::fprintf(stderr, "--- actual group link table trace ---\n%s--- end ---\n",
                  trace.c_str());

@@ -7,6 +7,9 @@
 #include <memory>
 #include <vector>
 
+#include "common/serialize.h"
+#include "fuse/fuse_id.h"
+#include "overlay/skipnet_node.h"
 #include "runtime/sim_cluster.h"
 
 namespace fuse {
@@ -409,6 +412,110 @@ TEST(FuseSteadyStateTest, NoExtraMessagesWithoutFailures) {
       m.MessageCount(MsgCategory::kFuseNeedRepair) + m.MessageCount(MsgCategory::kFuseRepair);
   EXPECT_EQ(fuse_after, fuse_before)
       << "failure-free steady state generated FUSE repair/notification traffic";
+}
+
+// A root that signals its group as soon as the create verdict lands fails it
+// while the members' InstallChecking messages are still on their way. Each
+// such install dead-ends at the root, which no longer knows the group, and
+// the root sends the member a Hard notification (paper 6.5). The delegates
+// the install created on its way used to keep that half path until
+// link_liveness_timeout: every lifecycle of the live `signal` benchmark left
+// some behind. Fixed in FuseNode::OnInstallUpcall: the dead end also sends a
+// SoftNotification with the install's seq back to the previous hop, which
+// tears the half path down at once.
+TEST(FuseInstallTeardownTest, SignalWhileInstallsInFlightLeavesNoState) {
+  ClusterConfig cfg = SmallConfig(32, 121);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  constexpr int kGroups = 20;
+  int verdicts = 0;
+  int ok = 0;
+  for (int g = 0; g < kGroups; ++g) {
+    const auto members = cluster.PickLiveNodes(4);
+    FuseNode* root = cluster.node(members[0]).fuse();
+    root->CreateGroup(cluster.RefsOf(members), [&, root](const Status& s, FuseId id) {
+      ++verdicts;
+      if (s.ok()) {
+        ++ok;
+        root->SignalFailure(id);
+      }
+    });
+  }
+  cluster.sim().RunUntilCondition([&] { return verdicts == kGroups; },
+                                  cluster.sim().Now() + Duration::Minutes(1));
+  ASSERT_EQ(verdicts, kGroups);
+  ASSERT_EQ(ok, kGroups);
+  // Well inside the liveness timeout, so no link sweep has fired yet.
+  cluster.sim().RunFor(cfg.fuse.link_liveness_timeout / 3);
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_EQ(cluster.node(i).fuse()->NumLiveGroups(), 0u) << "node " << i;
+    EXPECT_EQ(cluster.node(i).fuse()->NumMonitoredLinks(), 0u) << "node " << i;
+  }
+}
+
+// The teardown of a dead-ended install meets a live tree: a pure delegate
+// of a live group routes an InstallChecking for it toward a node that holds
+// no state for the group. The dead end's SoftNotification comes back to the
+// delegate, which passes it on along the group's tree as for any broken
+// path: the root repairs, and no member is notified (6.5: soft notifications
+// trigger repair; only hard ones reach the application). The install names
+// the dead-end node as its member, so its Hard notification goes nowhere.
+TEST(FuseInstallTeardownTest, DeadEndOnLiveGroupRepairsWithoutNotifying) {
+  ClusterConfig cfg = SmallConfig(48, 114);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const auto members = cluster.PickLiveNodes(3);
+    Status status;
+    const FuseId id = CreateGroupSync(cluster, members[0], members, &status);
+    ASSERT_TRUE(status.ok());
+    cluster.sim().RunFor(Duration::Seconds(5));
+    size_t delegate = SIZE_MAX;
+    size_t dead_end = SIZE_MAX;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      FuseNode* f = cluster.node(i).fuse();
+      if (delegate == SIZE_MAX && f->HasLiveGroup(id) && !f->IsParticipant(id)) {
+        delegate = i;
+      } else if (dead_end == SIZE_MAX && !f->HasLiveGroup(id)) {
+        dead_end = i;
+      }
+    }
+    if (delegate == SIZE_MAX) {
+      continue;  // short paths, no delegates; try another group
+    }
+    ASSERT_NE(dead_end, SIZE_MAX);
+    ASSERT_NE(cluster.node(delegate).fuse()->DebugGroupState(id).find("seq=0"),
+              std::string::npos);
+    Recorder rec;
+    for (size_t m : members) {
+      rec.Watch(cluster, m, id);
+    }
+    FuseNode* root = cluster.node(members[0]).fuse();
+    const uint64_t repairs_before = root->stats().repairs_initiated;
+    Writer w;
+    WriteFuseId(w, id);
+    w.PutU32(0);
+    WriteNodeRef(w, cluster.RefOf(dead_end));
+    cluster.node(delegate).overlay()->RouteByName(cluster.RefOf(dead_end).name,
+                                                  FuseNode::kRoutedTag, w.Take(),
+                                                  MsgCategory::kFuseInstallChecking);
+    cluster.sim().RunFor(cfg.fuse.link_liveness_timeout / 3);
+    EXPECT_GT(root->stats().repairs_initiated, repairs_before) << "no repair round ran";
+    // Every node still on the tree was re-installed by the repair: no half
+    // path of the first round (seq 0) is left.
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      EXPECT_EQ(cluster.node(i).fuse()->DebugGroupState(id).find("seq=0"), std::string::npos)
+          << "node " << i << ": " << cluster.node(i).fuse()->DebugGroupState(id);
+    }
+    cluster.sim().RunFor(Duration::Minutes(5));
+    EXPECT_EQ(rec.TotalFirings(), 0) << "a soft teardown notified a member";
+    for (size_t m : members) {
+      EXPECT_TRUE(cluster.node(m).fuse()->IsParticipant(id)) << "member " << m;
+    }
+    EXPECT_FALSE(cluster.node(dead_end).fuse()->HasLiveGroup(id));
+    return;
+  }
+  GTEST_SKIP() << "no group with a pure delegate found";
 }
 
 TEST(FuseDeterminismTest, SameSeedSameOutcome) {

@@ -1,18 +1,34 @@
-// Tests for the runtime layer: cluster churn driver and the live (wall-clock,
+// Tests for the runtime layer: cluster churn driver, the live (wall-clock,
 // threaded) runtime — the paper's "identical code base except for the base
-// messaging layer" claim, exercised for real.
+// messaging layer" claim, exercised for real — its loop turns, and the socket
+// transport's per-turn write batching.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "runtime/live_runtime.h"
 #include "runtime/node.h"
 #include "runtime/sim_cluster.h"
+
+#if defined(__linux__)
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstring>
+
+#include "transport/socket_transport.h"
+#endif
 
 namespace fuse {
 namespace {
@@ -363,6 +379,360 @@ TEST(LiveRuntimeStopTest, StopReleasesPendingRunOnLoop) {
     EXPECT_FALSE(runtime->RunOnLoop([] {}));
   }
 }
+
+// --- Loop turns: wakeups and before-wait hooks ----------------------------
+
+// Polls `pred` (read on the loop thread) until it holds or `bound` passes.
+bool AwaitOnLoop(LiveRuntime& rt, const std::function<bool()>& pred,
+                 std::chrono::milliseconds bound = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + bound;
+  for (;;) {
+    bool ok = false;
+    rt.RunOnLoop([&] { ok = pred(); });
+    if (ok) {
+      return true;
+    }
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t).count();
+}
+
+// Schedule does not write the wakeup eventfd from the loop thread; the loop
+// re-reads the earliest deadline before it waits instead. A timer armed from a
+// timer callback, earlier than the one the timerfd is armed for, must still
+// fire on time.
+TEST(LiveRuntimeWakeupTest, TimerFromTimerCallbackBeatsArmedDeadline) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  std::atomic<bool> fired{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  rt.Schedule(Duration::Seconds(30), [] {});
+  rt.Schedule(Duration::Millis(1), [&rt, &fired] {
+    rt.Schedule(Duration::Millis(5), [&fired] { fired = true; });
+  });
+  while (!fired.load() && SecondsSince(t0) < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_LT(SecondsSince(t0), 5.0) << "timer waited for the armed deadline";
+  rt.Stop();
+}
+
+// Cross-thread Schedule still wakes a loop blocked with nothing armed.
+TEST(LiveRuntimeWakeupTest, CrossThreadScheduleWakesBlockedLoop) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  // Let the loop reach its wait with an empty queue.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::atomic<bool> fired{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  rt.Schedule(Duration::Millis(2), [&fired] { fired = true; });
+  while (!fired.load() && SecondsSince(t0) < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_LT(SecondsSince(t0), 5.0);
+  rt.Stop();
+}
+
+// A hook runs once, after the turn that added it; a cancelled one never runs;
+// one added by a hook runs in the same drain.
+TEST(LiveRuntimeWakeupTest, BeforeWaitHooksRunOncePerRegistration) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  int ran = 0;
+  int cancelled = 0;
+  int chained = 0;
+  rt.RunOnLoop([&] {
+    rt.RunBeforeWait([&] {
+      ++ran;
+      rt.RunBeforeWait([&] { ++chained; });
+    });
+    const uint64_t key = rt.RunBeforeWait([&] { ++cancelled; });
+    rt.CancelBeforeWait(key);
+    EXPECT_EQ(ran, 0) << "a hook ran inside the turn that added it";
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return ran == 1 && chained == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  rt.RunOnLoop([&] {
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(chained, 1);
+    EXPECT_EQ(cancelled, 0);
+  });
+  rt.Stop();
+}
+
+#if defined(__linux__)
+
+// A timer armed from an fd handler, earlier than the armed timerfd, fires on
+// time.
+TEST(LiveRuntimeWakeupTest, TimerFromFdHandlerBeatsArmedDeadline) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  const int efd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  ASSERT_GE(efd, 0);
+  std::atomic<bool> fired{false};
+  rt.RunOnLoop([&] {
+    rt.Schedule(Duration::Seconds(30), [] {});
+    rt.WatchFd(efd, EPOLLIN, [&](uint32_t) {
+      uint64_t v;
+      while (::read(efd, &v, sizeof(v)) > 0) {
+      }
+      rt.Schedule(Duration::Millis(5), [&fired] { fired = true; });
+    });
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  const uint64_t one = 1;
+  ASSERT_EQ(::write(efd, &one, sizeof(one)), static_cast<ssize_t>(sizeof(one)));
+  while (!fired.load() && SecondsSince(t0) < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_LT(SecondsSince(t0), 5.0) << "timer waited for the armed deadline";
+  rt.RunOnLoop([&] { rt.UnwatchFd(efd); });
+  rt.Stop();
+  ::close(efd);
+}
+
+// --- FramedSocket: one write per socket per loop turn ----------------------
+
+// Two framed sockets on the ends of a socketpair, driven by one loop. All
+// socket calls run on the loop thread.
+class FramedPair {
+ public:
+  explicit FramedPair(LiveRuntime& rt) : rt_(rt) {
+    int sv[2];
+    FUSE_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, sv) == 0);
+    rt_.RunOnLoop([&] {
+      a = std::make_unique<FramedSocket>(&rt_);
+      b = std::make_unique<FramedSocket>(&rt_);
+      b->set_on_frame([this](const uint8_t* d, size_t l) { frames.emplace_back(d, d + l); });
+      b->set_on_close([this] { ++b_closed; });
+      a->Adopt(sv[0], /*connecting=*/false);
+      b->Adopt(sv[1], /*connecting=*/false);
+    });
+  }
+  ~FramedPair() {
+    rt_.RunOnLoop([&] {
+      a.reset();
+      b.reset();
+    });
+  }
+
+  uint64_t SendSyscalls() {
+    uint64_t n = 0;
+    rt_.RunOnLoop([&] { n = rt_.metrics().GetCounter(Counter::kTransportSendSyscalls); });
+    return n;
+  }
+
+  LiveRuntime& rt_;
+  std::unique_ptr<FramedSocket> a;
+  std::unique_ptr<FramedSocket> b;
+  std::vector<std::vector<uint8_t>> frames;  // received by b
+  int b_closed = 0;
+};
+
+std::vector<uint8_t> NumberedFrame(uint32_t i, size_t len) {
+  std::vector<uint8_t> f(len);
+  for (size_t k = 0; k < len; ++k) {
+    f[k] = static_cast<uint8_t>(i * 31 + k);
+  }
+  std::memcpy(f.data(), &i, sizeof(i));
+  return f;
+}
+
+TEST(LiveRuntimeWriteBatchTest, FramesOfOneTurnLeaveInOneWrite) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FramedPair p(rt);
+  constexpr uint32_t kFrames = 1000;
+  const uint64_t before = p.SendSyscalls();
+  rt.RunOnLoop([&] {
+    for (uint32_t i = 0; i < kFrames; ++i) {
+      const auto f = NumberedFrame(i, 12 + i % 20);
+      p.a->SendFrame(f.data(), f.size());
+    }
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.frames.size() == kFrames; }));
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(p.frames[i], NumberedFrame(i, 12 + i % 20)) << "frame " << i;
+  }
+  // ~32 KB, under the backlog cap: one send(2), not one per frame.
+  EXPECT_LE(p.SendSyscalls() - before, 2u);
+  rt.Stop();
+}
+
+TEST(LiveRuntimeWriteBatchTest, BuffersGiveBackCapacityAfterBurst) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FramedPair p(rt);
+  // 4 MiB in 16 KiB frames, then one 2 MiB frame, all queued in one turn:
+  // the backlog cap flushes early, the socketpair pushes back, and EPOLLOUT
+  // drains the rest.
+  constexpr uint32_t kFrames = 256;
+  constexpr size_t kBig = 2u << 20;
+  const uint64_t before = p.SendSyscalls();
+  rt.RunOnLoop([&] {
+    for (uint32_t i = 0; i < kFrames; ++i) {
+      const auto f = NumberedFrame(i, 16u << 10);
+      p.a->SendFrame(f.data(), f.size());
+    }
+    const auto big = NumberedFrame(kFrames, kBig);
+    p.a->SendFrame(big.data(), big.size());
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.frames.size() == kFrames + 1; }));
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(p.frames[i], NumberedFrame(i, 16u << 10)) << "frame " << i;
+  }
+  EXPECT_EQ(p.frames[kFrames], NumberedFrame(kFrames, kBig));
+  EXPECT_LT(p.SendSyscalls() - before, kFrames);
+  rt.RunOnLoop([&] {
+    p.frames.clear();
+    EXPECT_LE(p.a->buffer_capacity(), 2 * FramedSocket::kBufferCapBytes);
+    EXPECT_LE(p.b->buffer_capacity(), 2 * FramedSocket::kBufferCapBytes);
+  });
+  rt.Stop();
+}
+
+// A frame still queued when its socket closes is dropped with the socket:
+// the end-of-turn flush is cancelled, so it never writes (or touches a freed
+// socket — this runs clean under ASan), and the peer sees EOF, not the frame.
+TEST(LiveRuntimeWriteBatchTest, CloseDropsQueuedFramesAndCancelsTheFlush) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FramedPair p(rt);
+  const uint64_t before = p.SendSyscalls();
+  rt.RunOnLoop([&] {
+    const auto f = NumberedFrame(7, 32);
+    p.a->SendFrame(f.data(), f.size());
+    p.a->CloseFd();
+    p.a->SendFrame(f.data(), f.size());  // closed: dropped
+    p.a.reset();
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.b_closed == 1; }));
+  rt.RunOnLoop([&] {
+    EXPECT_TRUE(p.frames.empty());
+    EXPECT_EQ(p.b_closed, 1);
+  });
+  EXPECT_EQ(p.SendSyscalls(), before);
+  rt.Stop();
+}
+
+// --- SocketFabric: pending sends fail once with kBroken --------------------
+
+struct FabricPair {
+  explicit FabricPair(LiveRuntime& rt) : rt_(rt) {
+    rt_.RunOnLoop([&] {
+      a = std::make_unique<SocketFabric>(&rt_);
+      b = std::make_unique<SocketFabric>(&rt_);
+      const uint16_t pa = a->Listen();
+      const uint16_t pb = b->Listen();
+      for (SocketFabric* f : {a.get(), b.get()}) {
+        f->SetPeerAddr(HostId(0), pa);
+        f->SetPeerAddr(HostId(1), pb);
+      }
+      ta = a->TransportFor(HostId(0));
+      tb = b->TransportFor(HostId(1));
+      tb->RegisterHandler(msgtype::kTest, [this](const WireMessage&) { ++delivered; });
+    });
+  }
+  ~FabricPair() {
+    rt_.RunOnLoop([&] {
+      a.reset();
+      b.reset();
+    });
+  }
+
+  // Sends one message 0 -> 1, recording its outcome.
+  void Send() {
+    WireMessage m;
+    m.to = HostId(1);
+    m.type = msgtype::kTest;
+    m.category = MsgCategory::kApp;
+    ta->Send(std::move(m), [this](const Status& s) { outcomes.push_back(s); });
+  }
+
+  LiveRuntime& rt_;
+  std::unique_ptr<SocketFabric> a;
+  std::unique_ptr<SocketFabric> b;
+  Transport* ta = nullptr;
+  Transport* tb = nullptr;
+  int delivered = 0;
+  std::vector<Status> outcomes;
+};
+
+// The peer closes in the same turn the frame is queued: the frame meets a
+// closed connection, and its callback reports kBroken exactly once.
+TEST(LiveRuntimeWriteBatchTest, PendingSendFailsOnceAtPeerEof) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FabricPair p(rt);
+  rt.RunOnLoop([&] { p.Send(); });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.outcomes.size() == 1; }));
+  rt.RunOnLoop([&] {
+    ASSERT_TRUE(p.outcomes[0].ok());
+    p.Send();
+    p.b.reset();  // closes the inbound end of the connection
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.outcomes.size() >= 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  rt.RunOnLoop([&] {
+    ASSERT_EQ(p.outcomes.size(), 2u);
+    EXPECT_EQ(p.outcomes[1].code(), StatusCode::kBroken) << p.outcomes[1].ToString();
+    EXPECT_EQ(p.delivered, 1);
+  });
+  rt.Stop();
+}
+
+// A send queued behind a dial that never succeeds fails with kBroken exactly
+// once, when the connection is broken past its retry budget.
+TEST(LiveRuntimeWriteBatchTest, PendingSendFailsOnceAtBreakConn) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FabricPair p(rt);
+  rt.RunOnLoop([&] {
+    // Retarget host 1 at a port nobody listens on.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    ::close(fd);
+    p.a->SetPeerAddr(HostId(1), ntohs(addr.sin_port));
+    p.Send();
+    p.Send();
+  });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.outcomes.size() >= 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  rt.RunOnLoop([&] {
+    ASSERT_EQ(p.outcomes.size(), 2u);
+    for (const Status& s : p.outcomes) {
+      EXPECT_EQ(s.code(), StatusCode::kBroken) << s.ToString();
+    }
+    EXPECT_EQ(p.delivered, 0);
+  });
+  rt.Stop();
+}
+
+// Destroying a fabric with a frame queued for the end of the turn cancels
+// the flush: the hook must not run on the freed socket (ASan).
+TEST(LiveRuntimeWriteBatchTest, FabricTeardownWithQueuedFrame) {
+  LiveRuntime rt(LiveRuntime::Config{});
+  FabricPair p(rt);
+  rt.RunOnLoop([&] { p.Send(); });
+  ASSERT_TRUE(AwaitOnLoop(rt, [&] { return p.outcomes.size() == 1; }));
+  rt.RunOnLoop([&] {
+    p.Send();
+    p.a.reset();
+  });
+  // A turn later the loop is still healthy.
+  bool ran = false;
+  ASSERT_TRUE(rt.RunOnLoop([&] { ran = true; }));
+  EXPECT_TRUE(ran);
+  rt.Stop();
+}
+
+#endif  // defined(__linux__)
 
 }  // namespace
 }  // namespace fuse
