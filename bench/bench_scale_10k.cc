@@ -17,7 +17,6 @@
 //   bench_scale_10k                      # full sweep: 1000 4000 10000
 //   bench_scale_10k 1000 4000            # explicit scales
 //   bench_scale_10k --smoke              # CI gate: 10k build + 60 s pings
-//   bench_scale_10k --shards 8 --threads 4   # sharded parallel backend
 //   bench_scale_10k --coalesce           # batch each node's pings
 //   bench_scale_10k --json out.json ...  # also emit machine-readable results
 #include <cstdio>
@@ -39,10 +38,6 @@ int main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      opt.shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opt.threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--coalesce") == 0) {
       opt.coalesce = true;
     } else {

@@ -1,12 +1,7 @@
 // Shared machinery for the scaling benchmarks (bench_scale_10k,
-// bench_scale_100k): build a large cluster on either simulator backend
-// (classic single-threaded, or sharded parallel via --shards/--threads),
-// measure steady-state event throughput and timer pressure, and optionally
-// run the Figure 9 crash-notification experiment at scale.
-//
-// Everything below is written against the ClusterHarness surface plus two
-// narrow backend probes (executed-event count and queue stats), so the same
-// measurement loop produces comparable numbers for both engines.
+// bench_scale_100k): build a large simulated cluster, measure steady-state
+// event throughput and timer pressure, and optionally run the Figure 9
+// crash-notification experiment at scale.
 #ifndef FUSE_BENCH_SCALE_BENCH_H_
 #define FUSE_BENCH_SCALE_BENCH_H_
 
@@ -17,7 +12,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "runtime/sharded_sim_cluster.h"
 #include "runtime/sim_cluster.h"
 
 namespace fuse {
@@ -28,16 +22,12 @@ inline double WallSecondsSince(std::chrono::steady_clock::time_point t0) {
 }
 
 struct ScaleOptions {
-  int shards = 0;        // 0 = classic single-threaded backend
-  int threads = 1;       // sharded backend worker count
   bool coalesce = false; // batch each node's pings behind one timer pair
   bool with_groups = true;
 };
 
 struct ScaleResult {
   int nodes = 0;
-  int shards = 0;
-  int threads = 0;
   bool coalesce = false;
   double build_wall_s = 0;
   double avg_neighbors = 0;
@@ -48,7 +38,6 @@ struct ScaleResult {
   uint64_t timers_scheduled = 0;
   uint64_t timers_cancelled = 0;
   size_t wheel_live[3] = {0, 0, 0};  // live entries per timer-wheel level
-  int64_t lookahead_us = 0;  // sharded backend only
   int groups = 0;
   int expected_notifications = 0;
   int delivered_notifications = 0;
@@ -56,61 +45,33 @@ struct ScaleResult {
   double notify_max_min = 0;
 };
 
-// The two backend probes the harness surface does not carry.
-struct ScaleProbes {
-  std::function<uint64_t()> executed;
-  std::function<EventQueue::Stats()> queue_stats;
-};
-
-inline ScaleProbes ProbesFor(ClusterHarness& cluster, const ScaleOptions& opt) {
-  ScaleProbes p;
-  if (opt.shards > 0) {
-    auto& sharded = static_cast<ShardedSimCluster&>(cluster);
-    p.executed = [&sharded] { return sharded.sim().TotalExecuted(); };
-    p.queue_stats = [&sharded] { return sharded.sim().AggregateQueueStats(); };
-  } else {
-    auto& classic = static_cast<SimCluster&>(cluster);
-    p.executed = [&classic] { return classic.sim().queue().ExecutedCount(); };
-    p.queue_stats = [&classic] { return classic.sim().queue().GetStats(); };
-  }
-  return p;
-}
-
 inline ScaleResult RunScale(int n, const ScaleOptions& opt) {
   ScaleResult res;
   res.nodes = n;
-  res.shards = opt.shards;
-  res.threads = opt.shards > 0 ? opt.threads : 1;
   res.coalesce = opt.coalesce;
 
   ClusterConfig cfg = ClusterConfig::LargeScale(n, /*seed=*/77);
-  cfg.num_shards = opt.shards;
-  cfg.threads = opt.threads;
   cfg.overlay.coalesce_pings = opt.coalesce;
-  const std::unique_ptr<ClusterHarness> cluster_ptr = MakeSimCluster(cfg);
-  ClusterHarness& cluster = *cluster_ptr;
-  const ScaleProbes probes = ProbesFor(cluster, opt);
+  SimCluster cluster(cfg);
+  const EventQueue& queue = cluster.sim().queue();
 
   const auto t0 = std::chrono::steady_clock::now();
   cluster.Build();
   res.build_wall_s = WallSecondsSince(t0);
   res.avg_neighbors = cluster.AvgDistinctNeighbors();
-  if (opt.shards > 0) {
-    res.lookahead_us = static_cast<ShardedSimCluster&>(cluster).sim().lookahead().ToMicros();
-  }
 
   // Steady state: 60 simulated seconds of full-mesh liveness pinging.
   const auto t1 = std::chrono::steady_clock::now();
-  const uint64_t events0 = probes.executed();
+  const uint64_t events0 = queue.ExecutedCount();
   const uint64_t msgs0 = cluster.env().metrics().TotalMessages();
   cluster.AdvanceFor(Duration::Seconds(60));
   const double steady_wall = WallSecondsSince(t1);
-  res.steady_events = probes.executed() - events0;
+  res.steady_events = queue.ExecutedCount() - events0;
   res.steady_events_per_wall_s =
       steady_wall > 0 ? static_cast<double>(res.steady_events) / steady_wall : 0;
   res.steady_msgs_per_sim_s =
       static_cast<double>(cluster.env().metrics().TotalMessages() - msgs0) / 60.0;
-  const EventQueue::Stats qs = probes.queue_stats();
+  const EventQueue::Stats qs = queue.GetStats();
   res.pending_timers = qs.pending;
   res.timers_scheduled = qs.scheduled;
   res.timers_cancelled = qs.cancelled;
@@ -193,10 +154,7 @@ inline ScaleResult RunScale(int n, const ScaleOptions& opt) {
 
 inline void PrintScaleResult(const ScaleResult& r, bool with_groups) {
   std::printf("\n--- %d nodes", r.nodes);
-  if (r.shards > 0) {
-    std::printf(" (%d shards, %d threads%s)", r.shards, r.threads,
-                r.coalesce ? ", coalesced pings" : "");
-  } else if (r.coalesce) {
+  if (r.coalesce) {
     std::printf(" (coalesced pings)");
   }
   std::printf(" ---\n");
@@ -212,10 +170,6 @@ inline void PrintScaleResult(const ScaleResult& r, bool with_groups) {
               static_cast<unsigned long long>(r.timers_cancelled));
   std::printf("  wheel occupancy (L0/1/2) : %zu / %zu / %zu\n", r.wheel_live[0], r.wheel_live[1],
               r.wheel_live[2]);
-  if (r.shards > 0) {
-    std::printf("  conservative lookahead   : %8lld us\n",
-                static_cast<long long>(r.lookahead_us));
-  }
   if (with_groups) {
     std::printf("  groups created           : %8d\n", r.groups);
     std::printf("  crash notifications      : %d of %d delivered\n", r.delivered_notifications,
@@ -236,12 +190,12 @@ inline void WriteScaleJson(const std::string& path, const std::vector<ScaleResul
   for (size_t i = 0; i < results.size(); ++i) {
     const ScaleResult& r = results[i];
     std::fprintf(f,
-                 "    {\"nodes\": %d, \"shards\": %d, \"threads\": %d, \"coalesce\": %s,\n"
+                 "    {\"nodes\": %d, \"coalesce\": %s,\n"
                  "     \"build_wall_s\": %.3f, \"avg_neighbors\": %.2f,\n"
                  "     \"steady_events\": %llu, \"events_per_wall_s\": %.0f,\n"
                  "     \"msgs_per_sim_s\": %.1f, \"pending_timers\": %zu,\n"
                  "     \"timers_scheduled\": %llu, \"timers_cancelled\": %llu",
-                 r.nodes, r.shards, r.threads, r.coalesce ? "true" : "false", r.build_wall_s,
+                 r.nodes, r.coalesce ? "true" : "false", r.build_wall_s,
                  r.avg_neighbors, static_cast<unsigned long long>(r.steady_events),
                  r.steady_events_per_wall_s, r.steady_msgs_per_sim_s, r.pending_timers,
                  static_cast<unsigned long long>(r.timers_scheduled),

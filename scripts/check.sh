@@ -38,16 +38,3 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" "${extra[@]}" "$@"
 # nightly lane runs the long, date-seeded sweep). Failing schedules are
 # shrunk and written to build/ as self-contained repro files.
 ./build/src/fuzz_schedules --schedules 50 --seed 1 --quiet --repro-dir build
-
-# Sharded-determinism cross-check: the same schedules on the sharded parallel
-# backend must produce byte-identical per-schedule log lines at 1 and 2
-# worker threads (the tier-1 determinism tests cover 1/2/8 at trace level;
-# this catches a thread-count dependency in the full fuzzer pipeline too).
-./build/src/fuzz_schedules --schedules 10 --seed 1 --repro-dir build \
-  --shards 4 --threads 1 > build/fuzz_sharded_t1.log
-./build/src/fuzz_schedules --schedules 10 --seed 1 --repro-dir build \
-  --shards 4 --threads 2 > build/fuzz_sharded_t2.log
-if ! diff -u build/fuzz_sharded_t1.log build/fuzz_sharded_t2.log; then
-  echo "check.sh: sharded fuzz sweep diverged between 1 and 2 worker threads" >&2
-  exit 1
-fi

@@ -7,25 +7,22 @@ Usage:
 
 Reads every <name>.bench.json in the results directory, finds the matching
 entry in the baseline (top-level key = bench binary name), and fails (exit 1)
-on a regression beyond the tolerance:
+on a regression beyond the tolerance FUSE_PERF_TOLERANCE (a fraction, default
+0.20):
 
-  * higher-is-better metrics (throughput, delivered notifications) may not
-    drop by more than the tolerance;
-  * lower-is-better metrics (latencies, build time) may not grow by more
+  * higher-is-better metrics (delivered notifications) may not drop by more
     than the tolerance;
+  * lower-is-better metrics (latencies in simulated time) may not grow by
+    more than the tolerance;
   * band metrics (deterministic workload characteristics: simulated event
     and message counts, pending timers) may not drift in either direction —
     a large drift means the workload itself changed and the baseline must be
     re-blessed deliberately.
 
-Tolerances (fractions): FUSE_PERF_TOLERANCE (default 0.20) for metrics that
-are deterministic in simulated time, FUSE_PERF_WALL_TOLERANCE (default
-0.20) for wall-clock metrics, which track the machine as much as the code —
-raise it when comparing across heterogeneous machines, and re-bless the
-baseline from the CI artifact when runners change. FUSE_PERF_SKIP_WALL=1
-skips wall-clock metrics entirely: use it when the baseline was measured on
-different hardware than the fresh results (sim-deterministic metrics still
-gate at full strength).
+Every gated metric is a function of the code and the seed, not of the
+machine. Wall-clock fields (events_per_wall_s, build_wall_s, socket
+throughput and syscall counts) are informational: wall-clock performance is
+compared by notifybench's paired runs of two builds on one machine.
 
 Scale-sweep results ({"results": [...]}) are matched per entry by "nodes".
 Metrics present on only one side, and unknown keys, are ignored.
@@ -37,16 +34,9 @@ import os
 import sys
 
 HIGHER_BETTER = {
-    "events_per_wall_s",
     "delivered",
     "delivered_notifications",
-    "creates_per_wall_s",
     "notify_delivered",
-    # Transport fast path: acked messages per wall second, per transport, and
-    # how full the UDP coalescing batches run (records per datagram).
-    "tcp_msgs_per_wall_s",
-    "udp_msgs_per_wall_s",
-    "udp_batch_occupancy",
 }
 LOWER_BETTER = {
     "latency_min_minutes",
@@ -59,12 +49,6 @@ LOWER_BETTER = {
     # at full strength even on heterogeneous runners.
     "notify_p50_ms",
     "notify_p999_ms",
-    "build_wall_s",
-    # Transport fast path: I/O syscalls per acked message (the whole point of
-    # sendmmsg batching) and RTO-driven resends on a loss-free run.
-    "tcp_syscalls_per_msg",
-    "udp_syscalls_per_msg",
-    "udp_retransmit_rate",
 }
 BAND = {
     "steady_events",
@@ -89,38 +73,16 @@ BAND = {
     # bench_net_transport baseline is the --smoke run, while a local
     # full-size run writes 4x the messages — both are legitimate.
 }
-WALL_METRICS = {
-    "events_per_wall_s",
-    "build_wall_s",
-    "creates_per_wall_s",
-    # Real-socket throughput, syscall counts, batch fill, and retransmit
-    # pressure all track machine load and kernel behavior; the bench binary
-    # itself enforces the udp-vs-tcp ratio gate, which is machine-relative.
-    "tcp_msgs_per_wall_s",
-    "udp_msgs_per_wall_s",
-    "tcp_syscalls_per_msg",
-    "udp_syscalls_per_msg",
-    "udp_batch_occupancy",
-    "udp_retransmit_rate",
-}
-
-
-def tolerance_for(metric: str) -> float:
-    if metric in WALL_METRICS:
-        return float(os.environ.get("FUSE_PERF_WALL_TOLERANCE", "0.20"))
-    return float(os.environ.get("FUSE_PERF_TOLERANCE", "0.20"))
 
 
 def compare_record(name: str, fresh: dict, base: dict, failures: list, checked: list) -> None:
+    tol = float(os.environ.get("FUSE_PERF_TOLERANCE", "0.20"))
     for metric, base_value in base.items():
         if metric not in fresh or not isinstance(base_value, (int, float)):
             continue
         if isinstance(base_value, bool):
             continue
         fresh_value = fresh[metric]
-        if metric in WALL_METRICS and os.environ.get("FUSE_PERF_SKIP_WALL") == "1":
-            continue
-        tol = tolerance_for(metric)
         if metric in HIGHER_BETTER:
             bad = fresh_value < base_value * (1.0 - tol)
             direction = "dropped"

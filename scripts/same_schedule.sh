@@ -1,16 +1,10 @@
 #!/usr/bin/env bash
 # Same-schedule check for refactors that claim no behaviour change. Extracts
 # <base-ref> (git archive) under the build directory, builds it and the
-# working tree, and diffs five deterministic outputs of each, two per
-# simulator engine and the scenario verdicts:
-#   * the classic engine's fault-schedule sweep log
-#     (fuzz_schedules --schedules 400 --seed 1);
-#   * the sharded engine's sweep log (the same sweep with --shards 4
-#     --threads 2);
-#   * the classic determinism trace (DeterminismTest.SameSeedSameTrace,
-#     written through FUSE_TRACE_OUT);
-#   * the sharded determinism trace (ShardedDeterminismTest.SameSeedSameTrace,
-#     written through FUSE_SHARDED_TRACE_OUT);
+# working tree, and diffs three deterministic outputs of each:
+#   * the fault-schedule sweep log (fuzz_schedules --schedules 400 --seed 1);
+#   * the determinism trace (DeterminismTest.SameSeedSameTrace, written
+#     through FUSE_TRACE_OUT);
 #   * the simulator scenario verdicts (property_test's FuseAgreementProperty
 #     and MachineFailureProperty suites, one ScenarioResult line per run,
 #     written through FUSE_SCENARIO_OUT).
@@ -56,12 +50,8 @@ cmake --build "${build_dir}" -j"${jobs}" --target "${targets[@]}" >/dev/null
 run() {  # <binary dir> <tag>
   "$1/src/fuzz_schedules" --schedules 400 --seed 1 --repro-dir "${out}" \
     > "${out}/$2.fuzz.log" || true
-  "$1/src/fuzz_schedules" --schedules 400 --seed 1 --shards 4 --threads 2 \
-    --repro-dir "${out}" > "${out}/$2.sharded-fuzz.log" || true
-  FUSE_TRACE_OUT="${out}/$2.trace.txt" FUSE_SHARDED_TRACE_OUT="${out}/$2.sharded-trace.txt" \
-    "$1/tests/determinism_test" \
-    --gtest_filter='DeterminismTest.SameSeedSameTrace:ShardedDeterminismTest.SameSeedSameTrace' \
-    >/dev/null
+  FUSE_TRACE_OUT="${out}/$2.trace.txt" "$1/tests/determinism_test" \
+    --gtest_filter='DeterminismTest.SameSeedSameTrace' >/dev/null
   # The dump appends, one line per scenario run.
   rm -f "${out}/$2.scenario.txt"
   FUSE_SCENARIO_OUT="${out}/$2.scenario.txt" "$1/tests/property_test" \
@@ -71,7 +61,7 @@ run "${out}/base-build" base
 run "${build_dir}" work
 
 status=0
-for kind in fuzz.log sharded-fuzz.log trace.txt sharded-trace.txt scenario.txt; do
+for kind in fuzz.log trace.txt scenario.txt; do
   if [[ ! -f "${out}/base.${kind}" ]]; then
     echo "same_schedule: ${base_sha:0:12} writes no ${kind}; skipped" >&2
     continue
@@ -81,7 +71,7 @@ for kind in fuzz.log sharded-fuzz.log trace.txt sharded-trace.txt scenario.txt; 
   fi
 done
 if [[ ${status} -eq 0 ]]; then
-  echo "same_schedule: fuzz logs, determinism traces and scenario verdicts match" \
+  echo "same_schedule: fuzz log, determinism trace and scenario verdicts match" \
     "${base_sha:0:12}" >&2
 else
   echo "same_schedule: the working tree's schedule differs from ${base_sha:0:12}" >&2

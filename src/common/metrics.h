@@ -91,8 +91,8 @@ class Metrics {
 
   void Reset();
 
-  // Accumulates another instance's counters into this one. The sharded
-  // simulator keeps one Metrics per shard and aggregates at read time.
+  // Accumulates another instance's counters into this one
+  // (bench_net_transport sums its per-host metrics with it).
   void AddFrom(const Metrics& other) {
     for (size_t i = 0; i < counters_.size(); ++i) {
       counters_[i].messages += other.counters_[i].messages;

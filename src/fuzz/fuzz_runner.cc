@@ -4,11 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <iterator>
-#include <memory>
 #include <set>
 
 #include "runtime/agreement_oracle.h"
-#include "runtime/sharded_sim_cluster.h"
 #include "runtime/sim_cluster.h"
 
 namespace fuse {
@@ -19,11 +17,9 @@ FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& o
   cfg.seed = schedule.seed * 2654435761ULL + 0x9e3779b9ULL;
   cfg.topology.num_as = 40;  // small physical topology: schedule throughput
   cfg.cost = CostModel::Simulator();
-  cfg.num_shards = options.num_shards;
-  cfg.threads = options.threads;
-  const std::unique_ptr<ClusterHarness> cluster = MakeSimCluster(cfg);
-  cluster->Build();
-  return RunSchedule(*cluster, schedule, options);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  return RunSchedule(cluster, schedule, options);
 }
 
 FuzzRunResult RunSchedule(ClusterHarness& cluster, const FaultSchedule& schedule,

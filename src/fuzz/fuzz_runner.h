@@ -46,13 +46,6 @@ struct FuzzRunOptions {
   // a duplicate-delivery violation the shrinker must minimize.
   bool plant_duplicate_watch = false;
 
-  // Simulator backend (see MakeSimCluster): 0 runs the classic
-  // single-threaded engine; >= 1 runs the sharded engine with that many
-  // shards and `threads` workers. The oracle verdict and QoS counters are a
-  // function of (schedule, num_shards) only — never of threads.
-  int num_shards = 0;
-  int threads = 1;
-
   // Wait bounds: settle after creation, create_bound per create, and
   // detect_bound for the detection tail (and its one extension). Use
   // ScenarioTiming::Live() on a wall-clock backend.
@@ -73,8 +66,7 @@ struct FuzzRunResult {
 
 FuzzRunResult RunSchedule(const FaultSchedule& schedule, const FuzzRunOptions& options);
 // Runs `schedule` on an already-Build()-ed cluster of any backend. Node
-// operands are taken modulo cluster.size(); the backend options
-// (num_shards, threads) are ignored.
+// operands are taken modulo cluster.size().
 FuzzRunResult RunSchedule(ClusterHarness& cluster, const FaultSchedule& schedule,
                           const FuzzRunOptions& options);
 

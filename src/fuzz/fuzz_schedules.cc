@@ -25,11 +25,7 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--schedules N] [--seed S] [--repro-dir DIR] [--no-shrink] [--quiet]\n"
-               "          [--shards S] [--threads T]\n"
-               "       %s --replay FILE [--shrink]\n"
-               "  --shards 0 (default) runs the classic single-threaded simulator;\n"
-               "  --shards >= 1 runs the sharded engine with --threads workers\n"
-               "  (verdicts depend on the shard count, never the thread count).\n",
+               "       %s --replay FILE [--shrink]\n",
                argv0, argv0);
 }
 
@@ -48,7 +44,6 @@ int main(int argc, char** argv) {
   std::string replay_file;
   bool shrink = true;
   bool quiet = false;
-  fuse::FuzzRunOptions run_options;
 
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -73,18 +68,14 @@ int main(int argc, char** argv) {
       shrink = true;
     } else if (std::strcmp(arg, "--quiet") == 0) {
       quiet = true;
-    } else if (std::strcmp(arg, "--shards") == 0) {
-      run_options.num_shards = static_cast<int>(std::strtol(next(), nullptr, 10));
-    } else if (std::strcmp(arg, "--threads") == 0) {
-      run_options.threads = static_cast<int>(std::strtol(next(), nullptr, 10));
     } else {
       Usage(argv[0]);
       return 1;
     }
   }
 
-  const auto still_fails = [&run_options](const fuse::FaultSchedule& s) {
-    return !fuse::RunSchedule(s, run_options).ok();
+  const auto still_fails = [](const fuse::FaultSchedule& s) {
+    return !fuse::RunSchedule(s).ok();
   };
   const auto report = [&](const fuse::FaultSchedule& s, const fuse::FuzzRunResult& r) {
     std::printf("%s\n", r.log_line.c_str());
@@ -120,7 +111,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: not a valid schedule file\n", replay_file.c_str());
       return 1;
     }
-    const fuse::FuzzRunResult r = fuse::RunSchedule(s, run_options);
+    const fuse::FuzzRunResult r = fuse::RunSchedule(s);
     report(s, r);
     return r.ok() ? 0 : 1;
   }
@@ -128,7 +119,7 @@ int main(int argc, char** argv) {
   int64_t failures = 0;
   for (int64_t i = 0; i < schedules; ++i) {
     const fuse::FaultSchedule s = fuse::GenerateSchedule(base_seed + static_cast<uint64_t>(i));
-    const fuse::FuzzRunResult r = fuse::RunSchedule(s, run_options);
+    const fuse::FuzzRunResult r = fuse::RunSchedule(s);
     if (!r.ok()) {
       ++failures;
       report(s, r);

@@ -139,8 +139,8 @@ class FaultInjector {
   Duration global_reorder_jitter_;
 };
 
-// Per-host Environment facade over a base environment (the simulation, or
-// the host's shard) implementing the clock-rate rule: Schedule() durations are
+// Per-host Environment facade over a base environment (the simulation)
+// implementing the clock-rate rule: Schedule() durations are
 // divided by the host's rate (rate 2.0 = the host's timers fire in half the
 // nominal time, so it pings and declares timeouts early), while Now() stays
 // the base's. This models relative timer-rate drift — the QoS-relevant effect

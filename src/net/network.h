@@ -1,8 +1,7 @@
 // SimNetwork: hosts attached to the router topology, plus the loss model and
 // fault rules the transport consults. This is the ModelNet-emulator
-// equivalent in our reproduction. Both simulator fabrics (tcp_model.h,
-// sharded_fabric.h) take each transmission attempt's verdict from
-// DrawAttempt, so the network model is defined here once.
+// equivalent in our reproduction. The simulator fabric (tcp_model.h) takes
+// each transmission attempt's verdict from DrawAttempt.
 #ifndef FUSE_NET_NETWORK_H_
 #define FUSE_NET_NETWORK_H_
 
@@ -31,8 +30,7 @@ class SimNetwork {
   RouterId RouterOf(HostId h) const { return host_routers_[h.value]; }
 
   // One-way latency and physical hop count between two hosts. The first path
-  // from a's AS computes that AS's route row (Topology::GetPath); safe to
-  // call from the sharded simulator's workers.
+  // from a's AS computes that AS's route row (Topology::GetPath).
   Topology::PathInfo GetPath(HostId a, HostId b) const {
     return topology_.GetPath(host_routers_[a.value], host_routers_[b.value]);
   }

@@ -101,13 +101,13 @@ Topology Topology::Generate(const TopologyConfig& config, Rng& rng) {
     }
   }
 
-  topo.rows_ = std::make_unique<RouteRow[]>(topo.num_as_);
+  topo.rows_.resize(topo.num_as_);
   return topo;
 }
 
 const std::vector<Topology::RouteEntry>& Topology::Row(uint32_t src) const {
-  RouteRow& row = rows_[src];
-  std::call_once(row.once, [&] {
+  std::vector<RouteEntry>& row = rows_[src];
+  if (row.empty()) {
     // Dijkstra from src. The AS graph is small (hundreds to a few thousand
     // nodes), so one row is cheap.
     const size_t n = num_as_;
@@ -132,20 +132,20 @@ const std::vector<Topology::RouteEntry>& Topology::Row(uint32_t src) const {
         }
       }
     }
-    row.to.resize(n);
+    row.resize(n);
     for (size_t dst = 0; dst < n; ++dst) {
-      row.to[dst] = dist[dst] == std::numeric_limits<uint64_t>::max()
-                        ? RouteEntry{kUnreachableLat, 0}
-                        : RouteEntry{static_cast<uint32_t>(dist[dst]), hops[dst]};
+      row[dst] = dist[dst] == std::numeric_limits<uint64_t>::max()
+                     ? RouteEntry{kUnreachableLat, 0}
+                     : RouteEntry{static_cast<uint32_t>(dist[dst]), hops[dst]};
     }
-  });
-  return row.to;
+  }
+  return row;
 }
 
 size_t Topology::DebugRowsComputed() const {
   size_t computed = 0;
   for (size_t as = 0; as < num_as_; ++as) {
-    computed += rows_[as].to.empty() ? 0 : 1;
+    computed += rows_[as].empty() ? 0 : 1;
   }
   return computed;
 }

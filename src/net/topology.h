@@ -18,14 +18,12 @@
 // lists, and the first path asked for from a source AS runs one Dijkstra from
 // that AS and caches its row (latency and hop count to every AS) for the
 // topology's lifetime. A simulated cluster thus routes only from the ASs its
-// hosts occupy, whatever the size of the AS graph. First use of a row is
-// thread-safe: the sharded simulator's workers resolve paths concurrently.
+// hosts occupy, whatever the size of the AS graph. The cache is not
+// thread-safe: a topology belongs to one simulator thread.
 #ifndef FUSE_NET_TOPOLOGY_H_
 #define FUSE_NET_TOPOLOGY_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -87,25 +85,15 @@ class Topology {
 
   // One-way path between two routers (shortest AS-level latency path through
   // the core hierarchy). Same router => a single local hop. The first call
-  // from a's AS computes that AS's route row; safe to call from any thread.
+  // from a's AS computes that AS's route row.
   PathInfo GetPath(RouterId a, RouterId b) const;
-
-  // AS-core to AS-core one-way latency in microseconds (0 for a == b;
-  // UINT32_MAX for a disconnected pair). Used by the sharded simulator's
-  // lookahead computation, which needs the AS-level component of GetPath
-  // without enumerating router pairs. Computes as_a's row on first use, like
-  // GetPath.
-  uint32_t AsLatencyUs(uint32_t as_a, uint32_t as_b) const {
-    return as_a == as_b ? 0 : Row(as_a)[as_b].lat_us;
-  }
 
   // An AS's links: (neighbor AS, one-way latency in microseconds).
   const std::vector<std::pair<uint32_t, uint32_t>>& AsLinks(uint32_t as) const {
     return as_adj_[as];
   }
 
-  // Number of route rows computed so far. For tests; not safe concurrently
-  // with a first use.
+  // Number of route rows computed so far. For tests.
   size_t DebugRowsComputed() const;
 
  private:
@@ -114,12 +102,6 @@ class Topology {
     uint32_t lat_us;  // UINT32_MAX when unreachable (should not occur)
     uint16_t hops;
   };
-  // One source AS's routes, filled by the first caller through `once`.
-  struct RouteRow {
-    std::once_flag once;
-    std::vector<RouteEntry> to;
-  };
-
   Topology() = default;
 
   const std::vector<RouteEntry>& Row(uint32_t src) const;
@@ -128,9 +110,8 @@ class Topology {
   size_t num_as_links_ = 0;
   std::vector<Router> routers_;
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> as_adj_;
-  // One row per source AS, heap-held so the cache survives moving the
-  // topology (a once_flag cannot move).
-  std::unique_ptr<RouteRow[]> rows_;
+  // One row per source AS; empty until its first use.
+  mutable std::vector<std::vector<RouteEntry>> rows_;
 };
 
 }  // namespace fuse

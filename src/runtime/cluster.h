@@ -108,9 +108,10 @@ class Deployment {
 
   // Defers a harness-level upcall (join completion, group-create result,
   // failure-watch fire) to a point where it may safely touch harness-shared
-  // state. Single-context backends run it immediately; the sharded simulator
-  // records it on the executing shard and replays it on the control thread at
-  // the next epoch barrier, in deterministic (time, shard, seq) order.
+  // state. Every backend runs it immediately today. The hook stays for
+  // LoopDeployment, whose upcalls fire on the loop thread while the harness
+  // state they touch belongs to the driving thread (ROADMAP item 6, defect
+  // (a)): its override is meant to hand them to that thread.
   virtual void Defer(std::function<void()> fn) { fn(); }
 };
 

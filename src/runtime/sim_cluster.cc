@@ -1,36 +1,10 @@
 #include "runtime/sim_cluster.h"
 
-#include <type_traits>
 #include <utility>
-
-#include "common/logging.h"
-#include "runtime/sharded_sim_cluster.h"
-#include "sim/shard.h"
 
 namespace fuse {
 
 namespace {
-
-// What differs between the two simulator engines at construction; everything
-// else a simulated deployment does is the same on both.
-Simulation MakeEngine(std::type_identity<Simulation>, const ClusterConfig& c) {
-  return Simulation(c.seed);
-}
-
-ShardedSim MakeEngine(std::type_identity<ShardedSim>, const ClusterConfig& c) {
-  FUSE_CHECK(c.num_shards >= 1) << "sharded backend needs num_shards >= 1";
-  return ShardedSim(c.seed, static_cast<uint32_t>(c.num_shards), c.threads);
-}
-
-std::unique_ptr<SimFabric> MakeFabric(Simulation& sim, SimNetwork& net, const ClusterConfig& c) {
-  return std::make_unique<SimFabric>(sim, net, c.cost, c.tcp);
-}
-
-std::unique_ptr<ShardedFabric> MakeFabric(ShardedSim& sim, SimNetwork& net,
-                                          const ClusterConfig& c) {
-  return std::make_unique<ShardedFabric>(sim, net, c.cost, c.tcp,
-                                         static_cast<size_t>(c.num_nodes), c.hosts_per_machine);
-}
 
 HarnessConfig HarnessConfigFrom(const ClusterConfig& c) {
   HarnessConfig hc;
@@ -47,19 +21,15 @@ HarnessConfig HarnessConfigFrom(const ClusterConfig& c) {
 
 }  // namespace
 
-// Discrete-event backend on either engine: virtual time, direct protocol
-// calls, fault rules applied to the SimNetwork the fabric consults on every
-// attempt. Topology generation and host placement draw from the engine's
-// (control) RNG in the same order on both engines; on the sharded one the
-// partition only decides where a host's events run, never where it sits.
-template <class Engine, class Fabric>
+// Discrete-event backend: virtual time, direct protocol calls, fault rules
+// applied to the SimNetwork the fabric consults on every attempt. Topology
+// generation and host placement draw from the simulation's RNG.
 class SimDeployment : public Deployment {
  public:
-  explicit SimDeployment(ClusterConfig config)
-      : config_(std::move(config)), sim_(MakeEngine(std::type_identity<Engine>(), config_)) {
+  explicit SimDeployment(ClusterConfig config) : config_(std::move(config)), sim_(config_.seed) {
     Topology topo = Topology::Generate(config_.topology, sim_.rng());
     net_ = std::make_unique<SimNetwork>(std::move(topo));
-    fabric_ = MakeFabric(sim_, *net_, config_);
+    fabric_ = std::make_unique<SimFabric>(sim_, *net_, config_.cost, config_.tcp);
     // Mirrors the harness's own adjustment, so config() reflects how nodes
     // are actually constructed.
     config_.overlay.start_maintenance_on_join = false;
@@ -96,35 +66,22 @@ class SimDeployment : public Deployment {
   }
   bool virtual_time() const override { return true; }
 
-  // Harness upcalls issued from protocol code on a sharded engine run on
-  // whichever shard owns the calling host; defer them to the control
-  // thread's barrier replay. Calls in barrier/control context, and every call
-  // on the classic engine, have no current shard and run inline.
-  void Defer(std::function<void()> fn) override {
-    if (Shard* s = Shard::Current()) {
-      s->DeferUpcall(std::move(fn));
-      return;
-    }
-    fn();
-  }
-
   const ClusterConfig& config() const { return config_; }
-  Engine& sim() { return sim_; }
+  Simulation& sim() { return sim_; }
   SimNetwork& net() { return *net_; }
-  Fabric& fabric() { return *fabric_; }
+  SimFabric& fabric() { return *fabric_; }
 
  private:
   ClusterConfig config_;
-  Engine sim_;
+  Simulation sim_;
   std::unique_ptr<SimNetwork> net_;
-  std::unique_ptr<Fabric> fabric_;
+  std::unique_ptr<SimFabric> fabric_;
   RouterId machine_;
 };
 
 SimCluster::SimCluster(ClusterConfig config)
-    : ClusterHarness(std::make_unique<SimDeployment<Simulation, SimFabric>>(config),
-                     HarnessConfigFrom(config)),
-      deploy_(static_cast<SimDeployment<Simulation, SimFabric>*>(&deployment())) {}
+    : ClusterHarness(std::make_unique<SimDeployment>(config), HarnessConfigFrom(config)),
+      deploy_(static_cast<SimDeployment*>(&deployment())) {}
 
 SimCluster::~SimCluster() = default;
 
@@ -133,22 +90,7 @@ SimNetwork& SimCluster::net() { return deploy_->net(); }
 SimFabric& SimCluster::fabric() { return deploy_->fabric(); }
 const ClusterConfig& SimCluster::config() const { return deploy_->config(); }
 
-ShardedSimCluster::ShardedSimCluster(ClusterConfig config)
-    : ClusterHarness(std::make_unique<SimDeployment<ShardedSim, ShardedFabric>>(config),
-                     HarnessConfigFrom(config)),
-      deploy_(static_cast<SimDeployment<ShardedSim, ShardedFabric>*>(&deployment())) {}
-
-ShardedSimCluster::~ShardedSimCluster() = default;
-
-ShardedSim& ShardedSimCluster::sim() { return deploy_->sim(); }
-SimNetwork& ShardedSimCluster::net() { return deploy_->net(); }
-ShardedFabric& ShardedSimCluster::fabric() { return deploy_->fabric(); }
-const ClusterConfig& ShardedSimCluster::config() const { return deploy_->config(); }
-
 std::unique_ptr<ClusterHarness> MakeSimCluster(ClusterConfig config) {
-  if (config.num_shards > 0) {
-    return std::make_unique<ShardedSimCluster>(std::move(config));
-  }
   return std::make_unique<SimCluster>(std::move(config));
 }
 

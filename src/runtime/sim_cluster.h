@@ -31,13 +31,6 @@ struct ClusterConfig {
   int hosts_per_machine = 1;
   // Nodes joined concurrently during Build (smaller = slower but gentler).
   int join_batch = 16;
-  // Backend selector for MakeSimCluster (runtime/sharded_sim_cluster.h):
-  // 0 = the classic single-threaded SimCluster; >= 1 = the sharded parallel
-  // simulator with this many shards. The trace is a function of
-  // (seed, num_shards); `threads` only sets the worker pool size and never
-  // affects the schedule.
-  int num_shards = 0;
-  int threads = 1;
 
   // Preset for large-scale runs (1k-10k+ virtual nodes, well past the
   // paper's 400): simulator cost model, the paper's 10-nodes-per-machine
@@ -55,9 +48,8 @@ struct ClusterConfig {
   }
 };
 
-// The simulated deployment, on the classic engine (Simulation + SimFabric) or
-// the sharded one (ShardedSim + ShardedFabric, runtime/sharded_sim_cluster.h).
-template <class Engine, class Fabric>
+// The simulated deployment (Simulation + SimFabric), defined in
+// sim_cluster.cc.
 class SimDeployment;
 
 class SimCluster : public ClusterHarness {
@@ -71,8 +63,11 @@ class SimCluster : public ClusterHarness {
   const ClusterConfig& config() const;
 
  private:
-  SimDeployment<Simulation, SimFabric>* deploy_;  // owned by the base class
+  SimDeployment* deploy_;  // owned by the base class
 };
+
+// A SimCluster behind the backend-neutral harness interface.
+std::unique_ptr<ClusterHarness> MakeSimCluster(ClusterConfig config);
 
 }  // namespace fuse
 

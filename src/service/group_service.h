@@ -15,8 +15,8 @@
 //     application callback with the service's own accounting.
 //
 // Deployment-agnostic by construction: everything goes through the harness
-// vocabulary, so the same service runs on the classic simulator, the sharded
-// parallel simulator, and (via ProcessCluster's overrides) worker processes.
+// vocabulary, so the same service runs on the simulator and (via
+// ProcessCluster's overrides) worker processes.
 // Call Create/Watch/Signal from the driving thread (outside the protocol
 // context); completions are Defer'ed by the harness back onto that thread.
 #ifndef FUSE_SERVICE_GROUP_SERVICE_H_

@@ -252,27 +252,7 @@ void EventQueue::RunUntil(TimePoint t) {
   cursor_ = std::max(cursor_, SlotOf(now_, 0));
 }
 
-void EventQueue::RunUntilBefore(TimePoint t) {
-  while (FillDue() && due_.top().when < t) {
-    PopAndRun();
-  }
-  if (now_ < t) {
-    now_ = t;
-  }
-  // Same cursor sync as RunUntil. Every remaining pending event has
-  // when >= t: wheel/overflow entries keep slot0 >= cursor_, and any due-heap
-  // entry at exactly t already satisfied slot0 < cursor_ before the bump.
-  cursor_ = std::max(cursor_, SlotOf(now_, 0));
-}
-
 void EventQueue::RunFor(Duration d) { RunUntil(now_ + d); }
-
-TimePoint EventQueue::NextEventTime() {
-  if (!FillDue()) {
-    return TimePoint::Max();
-  }
-  return due_.top().when;
-}
 
 EventQueue::Stats EventQueue::GetStats() const {
   Stats s;

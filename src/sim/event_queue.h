@@ -72,24 +72,12 @@ class EventQueue {
   // Runs all events with time <= t, then advances the clock to exactly t.
   void RunUntil(TimePoint t);
 
-  // Runs all events with time strictly < t, then advances the clock to
-  // exactly t. Events pending at exactly t stay queued and fire first on the
-  // next run call. This is the epoch primitive for the sharded simulator:
-  // each shard runs [now, epoch_end) in isolation, and cross-shard messages
-  // injected afterwards may legally land at exactly epoch_end.
-  void RunUntilBefore(TimePoint t);
-
   // Convenience: RunUntil(Now + d).
   void RunFor(Duration d);
 
   // Runs events until the queue drains or `max_events` fire; returns the
   // number of events executed.
   size_t RunAll(size_t max_events = SIZE_MAX);
-
-  // Time of the earliest pending event, or TimePoint::Max() if none. May
-  // advance the wheel cursor (never the clock); idempotent and safe to call
-  // between run calls.
-  TimePoint NextEventTime();
 
   bool Empty() const { return live_count_ == 0; }
   size_t PendingCount() const { return live_count_; }

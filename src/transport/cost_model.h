@@ -45,8 +45,7 @@ struct CostModel {
   }
 };
 
-// TCP model constants of both simulator fabrics (tcp_model.h,
-// sharded_fabric.h).
+// TCP model constants of the simulator fabric (tcp_model.h).
 struct TcpParams {
   // Minimum retransmission timeout; doubled per retry.
   Duration min_rto = Duration::Seconds(1);

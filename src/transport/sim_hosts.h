@@ -1,9 +1,8 @@
-// SimHostTable: the per-host state of both simulator fabrics (tcp_model.h,
-// sharded_fabric.h), in one dense table indexed by HostId — each host's
-// clock-skew facade and transport endpoint, its incarnation and up flag, and
-// its send-CPU clock — plus what the two fabrics do alike with it: creating
-// a host's endpoint, the crash/restart bookkeeping, send-CPU serialization,
-// and incarnation-checked delivery.
+// SimHostTable: the simulator fabric's per-host state (tcp_model.h), in one
+// dense table indexed by HostId — each host's clock-skew facade and transport
+// endpoint, its incarnation and up flag, and its send-CPU clock — plus what
+// the fabric does with it: creating a host's endpoint, the crash/restart
+// bookkeeping, send-CPU serialization, and incarnation-checked delivery.
 //
 // Host crash/restart is modeled with incarnation numbers: a message carries
 // its destination's incarnation from the moment it is sent, and a delivery
@@ -38,8 +37,6 @@ class SimHostTable {
   // per-send CPU occupancy (CostModel::SendOverhead()).
   SimHostTable(FaultInjector& faults, TransportLayer* layer, Duration send_overhead)
       : faults_(faults), layer_(layer), send_overhead_(send_overhead) {}
-
-  void Reserve(size_t n) { hosts_.reserve(n); }
 
   // `h`'s slot, growing the table; a new slot has no transport yet.
   Host& At(HostId h) {

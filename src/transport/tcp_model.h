@@ -1,7 +1,6 @@
-// SimFabric: the classic simulator's messaging layer — TCP over the lossy
-// topology, modeled analytically.
+// SimFabric: the simulator's messaging layer — TCP over the lossy topology,
+// modeled analytically.
 //
-// Shared with the sharded engine's ShardedFabric (sharded_fabric.h):
 //   * each transmission attempt's verdict — directional blocks, loss bursts,
 //     route survival in each direction ((1 - per_link_loss)^hops), reorder
 //     jitter, extra delay — comes from SimNetwork::DrawAttempt;
@@ -12,9 +11,7 @@
 //   * the host table (sim_hosts.h) holds each host's endpoint, incarnation
 //     and up flag, serializes a host's sends on its send CPU (the XML
 //     messaging cost of section 7.4), and drops deliveries addressed to a
-//     previous incarnation.
-//
-// Only here:
+//     previous incarnation;
 //   * one cached connection per host pair; under CostModel::Cluster() the
 //     first message pays a SYN handshake, which produces the 1st-vs-2nd RPC
 //     split of Figure 6, and a handshake that never completes fails the

@@ -3,8 +3,7 @@
 // order or the sender learns the connection broke.
 //
 // There is one endpoint class for every messaging layer. A layer — the
-// simulator fabric (tcp_model.h), the sharded simulator fabric
-// (sharded_fabric.h), the live runtime's in-process delivery
+// simulator fabric (tcp_model.h), the live runtime's in-process delivery
 // (runtime/live_runtime.h), and the TCP and UDP fabrics (fabric.h) — differs
 // only in how a message travels, so it implements the one
 // TransportLayer::SendFrom hook. The endpoint owns what every layer shares:

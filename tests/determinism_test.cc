@@ -15,7 +15,6 @@
 #include "fuse/fuse_node.h"
 #include "net/network.h"
 #include "overlay/skipnet_node.h"
-#include "runtime/sharded_sim_cluster.h"
 #include "runtime/sim_cluster.h"
 #include "sim/event_queue.h"
 #include "transport/tcp_model.h"
@@ -916,111 +915,6 @@ TEST(DeterminismTest, GoldenSweepTeardownOrderTrace) {
     std::fprintf(stderr, "--- actual sweep teardown trace ---\n%s--- end ---\n", trace.c_str());
   }
   EXPECT_EQ(trace, golden);
-}
-
-// The sharded parallel simulator's determinism contract: the trace is a pure
-// function of (seed, shard count) — the worker-thread count decides only how
-// many shards execute concurrently, never what they execute. Same scenario
-// shape as RunScenario above, expressed through the harness's *InContext
-// vocabulary so every observation is recorded on the control thread (the
-// sharded backend replays those upcalls at epoch barriers in canonical
-// order; recording from raw protocol callbacks would race across workers).
-std::string RunShardedScenario(uint64_t seed, int threads) {
-  std::string trace;
-  char line[160];
-
-  ClusterConfig cfg;
-  cfg.num_nodes = 24;
-  cfg.seed = seed;
-  cfg.topology.num_as = 30;
-  cfg.cost = CostModel::Simulator();
-  cfg.num_shards = 8;
-  cfg.threads = threads;
-  ShardedSimCluster cluster(cfg);
-  cluster.Build();
-
-  const size_t roots[] = {0, 5, 11};
-  std::vector<FuseId> ids;
-  for (size_t root : roots) {
-    std::vector<size_t> members = cluster.PickLiveNodes(6);
-    std::vector<NodeRef> refs;
-    for (size_t m : members) {
-      if (m != root && refs.size() < 5) {
-        refs.push_back(cluster.RefOf(m));
-      }
-    }
-    cluster.CreateGroupInContext(root, std::move(refs),
-                                 [&, root](const Status& s, FuseId id) {
-                                   std::snprintf(line, sizeof(line),
-                                                 "create t=%lld root=%zu ok=%d id=%s\n",
-                                                 static_cast<long long>(cluster.env().Now().ToMicros()),
-                                                 root, s.ok(), id.ToString().c_str());
-                                   trace += line;
-                                   if (s.ok()) {
-                                     ids.push_back(id);
-                                   }
-                                 });
-    cluster.AdvanceFor(Duration::Seconds(30));
-  }
-
-  for (const FuseId& id : ids) {
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      if (!cluster.IsUp(i) || !cluster.node(i).fuse()->IsParticipant(id)) {
-        continue;
-      }
-      cluster.WatchGroupMemberInContext(i, id, [&trace, &line, &cluster, i, id] {
-        std::snprintf(line, sizeof(line), "notify t=%lld node=%zu id=%s\n",
-                      static_cast<long long>(cluster.env().Now().ToMicros()), i,
-                      id.ToString().c_str());
-        trace += line;
-      });
-    }
-  }
-
-  cluster.AdvanceFor(Duration::Seconds(10));
-  cluster.Crash(5);
-  cluster.AdvanceFor(Duration::Minutes(3));
-  cluster.Crash(3);
-  cluster.AdvanceFor(Duration::Minutes(3));
-  if (!ids.empty() && cluster.IsUp(11)) {
-    cluster.node(11).fuse()->SignalFailure(ids.back());
-  }
-  cluster.AdvanceFor(Duration::Minutes(3));
-
-  for (int c = 0; c < static_cast<int>(MsgCategory::kCount); ++c) {
-    const auto cat = static_cast<MsgCategory>(c);
-    std::snprintf(line, sizeof(line), "msgs %s n=%llu bytes=%llu\n", MsgCategoryName(cat),
-                  static_cast<unsigned long long>(cluster.env().metrics().MessageCount(cat)),
-                  static_cast<unsigned long long>(cluster.env().metrics().ByteCount(cat)));
-    trace += line;
-  }
-  std::snprintf(line, sizeof(line), "events=%llu now=%lld live=%zu lookahead=%lld\n",
-                static_cast<unsigned long long>(cluster.sim().TotalExecuted()),
-                static_cast<long long>(cluster.env().Now().ToMicros()), cluster.NumLiveNodes(),
-                static_cast<long long>(cluster.sim().lookahead().ToMicros()));
-  trace += line;
-  return trace;
-}
-
-TEST(ShardedDeterminismTest, TraceByteIdenticalAcrossThreadCounts) {
-  const std::string t1 = RunShardedScenario(0xF00D, 1);
-  const std::string t2 = RunShardedScenario(0xF00D, 2);
-  const std::string t8 = RunShardedScenario(0xF00D, 8);
-  EXPECT_EQ(t1, t2) << "2 workers diverged from sequential";
-  EXPECT_EQ(t1, t8) << "8 workers diverged from sequential";
-  // The scenario must actually exercise group creation and notification.
-  EXPECT_NE(t1.find("create "), std::string::npos);
-  EXPECT_NE(t1.find("notify "), std::string::npos);
-}
-
-TEST(ShardedDeterminismTest, SameSeedSameTrace) {
-  const std::string a = RunShardedScenario(0xABCD, 2);
-  DumpTrace("FUSE_SHARDED_TRACE_OUT", a);
-  EXPECT_EQ(a, RunShardedScenario(0xABCD, 2));
-}
-
-TEST(ShardedDeterminismTest, DifferentSeedDifferentTrace) {
-  EXPECT_NE(RunShardedScenario(1, 2), RunShardedScenario(2, 2));
 }
 
 // Golden trace for the event core's ordering contract: events fire in

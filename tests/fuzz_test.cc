@@ -91,36 +91,6 @@ TEST(FuzzRunnerTest, PlantedDuplicateWatchOnlyFiresWithANotification) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(FuzzRunnerTest, ShardedVerdictIndependentOfThreadCount) {
-  // The sharded backend must grade a schedule identically no matter how many
-  // worker threads execute it: same oracle verdict, same QoS counters, same
-  // deterministic log line. (The trace-level version of this lives in
-  // determinism_test.cc; here the fuzz oracle — group creation under faults,
-  // notification coverage, detection latency — is the fingerprint.)
-  for (uint64_t seed : {7u, 19u}) {
-    const FaultSchedule s = GenerateSchedule(seed);
-    FuzzRunOptions opts;
-    opts.num_shards = 4;
-    FuzzRunResult by_threads[3];
-    const int threads[] = {1, 2, 8};
-    for (int i = 0; i < 3; ++i) {
-      opts.threads = threads[i];
-      by_threads[i] = RunSchedule(s, opts);
-    }
-    for (int i = 1; i < 3; ++i) {
-      EXPECT_EQ(by_threads[0].log_line, by_threads[i].log_line)
-          << "seed " << seed << ": " << threads[i] << " workers diverged";
-      EXPECT_EQ(by_threads[0].violations, by_threads[i].violations) << "seed " << seed;
-      EXPECT_EQ(by_threads[0].max_detection_latency_us, by_threads[i].max_detection_latency_us)
-          << "seed " << seed;
-    }
-    // The invariant itself must also hold on the sharded backend.
-    EXPECT_TRUE(by_threads[0].ok())
-        << by_threads[0].log_line
-        << (by_threads[0].violations.empty() ? "" : "\n  " + by_threads[0].violations[0]);
-  }
-}
-
 TEST(FuzzSmokeTest, FiftyScheduleSweepHoldsTheInvariant) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const FaultSchedule s = GenerateSchedule(seed);

@@ -1,6 +1,5 @@
 // The Transport contract, checked on every messaging layer: the simulator
-// fabric, the sharded simulator fabric, the live runtime's in-process
-// delivery, and (on Linux) the TCP socket and UDP datagram fabrics. Each leg
+// fabric, the live runtime's in-process delivery, and (on Linux) the TCP socket and UDP datagram fabrics. Each leg
 // hosts three endpoints; host 0 talks to host 1 across the layer's wire
 // (across fabrics on the socket and datagram legs), host 2 shares host 1's
 // fabric, so its sends take the same-process path.
@@ -14,7 +13,7 @@
 //   * after UnregisterAllHandlers a send is delivered to no one and its
 //     callback reports the status recorded below for that layer;
 //   * a handler may unregister its own host and still read its captures;
-//   * on the simulated layers a clock-rate rule scales the host's timers.
+//   * on the simulated layer a clock-rate rule scales the host's timers.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -29,9 +28,7 @@
 #include "common/serialize.h"
 #include "net/network.h"
 #include "runtime/live_runtime.h"
-#include "sim/sharded_sim.h"
 #include "sim/simulation.h"
-#include "transport/sharded_fabric.h"
 #include "transport/tcp_model.h"
 
 #if defined(__linux__)
@@ -42,14 +39,14 @@
 namespace fuse {
 namespace {
 
-enum class LayerKind { kSim, kSharded, kLive, kSocket, kDatagram };
+// The values are part of the test names (gtest prints the parameter bytes),
+// so each layer keeps its number.
+enum class LayerKind { kSim = 0, kLive = 2, kSocket = 3, kDatagram = 4 };
 
 const char* LayerName(LayerKind k) {
   switch (k) {
     case LayerKind::kSim:
       return "Sim";
-    case LayerKind::kSharded:
-      return "Sharded";
     case LayerKind::kLive:
       return "Live";
     case LayerKind::kSocket:
@@ -101,29 +98,6 @@ class SimLeg : public Leg {
   Simulation sim_;
   SimNetwork net_;
   SimFabric fabric_;
-};
-
-class ShardedLeg : public Leg {
- public:
-  ShardedLeg() : sim_(11, /*num_shards=*/2, /*threads=*/1),
-                 net_(Topology::Generate(SmallTopology(), sim_.rng())),
-                 fabric_(sim_, net_, CostModel::Simulator(), TcpParams(), /*expected_hosts=*/3,
-                         /*hosts_per_machine=*/1) {
-    for (Transport*& t : t_) {
-      t = fabric_.TransportFor(net_.AddHost(sim_.rng()));
-    }
-  }
-  void Run(const std::function<void()>& fn) override { fn(); }
-  bool Await(const std::function<bool()>& pred, Duration bound) override {
-    return sim_.RunUntilCondition(pred, sim_.Now() + bound);
-  }
-  void Advance(Duration d) override { sim_.RunFor(d); }
-  FaultInjector& faults() { return net_.faults(); }
-
- private:
-  ShardedSim sim_;
-  SimNetwork net_;
-  ShardedFabric fabric_;
 };
 
 LiveRuntime::Config FastLive() {
@@ -204,8 +178,6 @@ std::unique_ptr<Leg> MakeLeg(LayerKind kind) {
   switch (kind) {
     case LayerKind::kSim:
       return std::make_unique<SimLeg>();
-    case LayerKind::kSharded:
-      return std::make_unique<ShardedLeg>();
     case LayerKind::kLive:
       return std::make_unique<LiveLeg>();
 #if defined(__linux__)
@@ -377,7 +349,7 @@ TEST_P(TransportContract, HandlerMayUnregisterItsOwnHost) {
 }
 
 std::vector<LayerKind> AllLayers() {
-  std::vector<LayerKind> kinds = {LayerKind::kSim, LayerKind::kSharded, LayerKind::kLive};
+  std::vector<LayerKind> kinds = {LayerKind::kSim, LayerKind::kLive};
 #if defined(__linux__)
   kinds.push_back(LayerKind::kSocket);
   kinds.push_back(LayerKind::kDatagram);
@@ -390,11 +362,10 @@ INSTANTIATE_TEST_SUITE_P(Layers, TransportContract, ::testing::ValuesIn(AllLayer
                            return std::string(LayerName(pinfo.param));
                          });
 
-// Clock skew on the simulated layers: a rate-2.0 host's timers fire in half
+// Clock skew on the simulated layer: a rate-2.0 host's timers fire in half
 // the nominal time, a rate-1.0 host's on time, and both read the same clock.
-template <typename SimLegT>
-void ExpectClockRateHalvesDelays() {
-  SimLegT leg;
+TEST(TransportContractClock, ClockRateHalvesTimerDelaysOnSim) {
+  SimLeg leg;
   leg.faults().SetClockRate(leg.At(1)->local_host(), 2.0);
   const TimePoint start = leg.At(0)->env().Now();
   TimePoint nominal;
@@ -404,12 +375,6 @@ void ExpectClockRateHalvesDelays() {
   leg.Advance(Duration::Seconds(20));
   EXPECT_EQ(nominal - start, Duration::Seconds(10));
   EXPECT_EQ(skewed - start, Duration::Seconds(5));
-}
-
-TEST(TransportContractClock, ClockRateHalvesTimerDelaysOnSim) { ExpectClockRateHalvesDelays<SimLeg>(); }
-
-TEST(TransportContractClock, ClockRateHalvesTimerDelaysOnSharded) {
-  ExpectClockRateHalvesDelays<ShardedLeg>();
 }
 
 }  // namespace

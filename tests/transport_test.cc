@@ -1,18 +1,15 @@
-// Tests for the simulator fabrics: delivery, handshake costs, retransmit
+// Tests for the simulator fabric: delivery, handshake costs, retransmit
 // under loss, connection breaks, crash semantics, send serialization, and
-// the allocation-free warm fast path. The cases of the network model both
-// fabrics share run on each (TransportTest on SimFabric, ShardedTransportTest
-// on ShardedFabric); the connection cases run on SimFabric only.
+// the allocation-free warm fast path.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench/alloc_counter.h"
 #include "net/network.h"
 #include "overlay/ping_manager.h"
-#include "sim/sharded_sim.h"
 #include "sim/simulation.h"
-#include "transport/sharded_fabric.h"
 #include "transport/tcp_model.h"
 
 namespace fuse {
@@ -25,53 +22,15 @@ class TransportTest : public ::testing::Test {
   void SetUp() override {
     TopologyConfig cfg;
     cfg.num_as = 40;
-    Environment* engine;
-    if (sharded_) {
-      // One host per shard, so every message crosses shards.
-      sharded_sim_ = std::make_unique<ShardedSim>(17, /*num_shards=*/kHosts, /*threads=*/1);
-      engine = sharded_sim_.get();
-    } else {
-      sim_ = std::make_unique<Simulation>(17);
-      engine = sim_.get();
-    }
-    net_ = std::make_unique<SimNetwork>(Topology::Generate(cfg, engine->rng()));
+    sim_ = std::make_unique<Simulation>(17);
+    net_ = std::make_unique<SimNetwork>(Topology::Generate(cfg, sim_->rng()));
     for (int i = 0; i < kHosts; ++i) {
-      hosts_.push_back(net_->AddHost(engine->rng()));
+      hosts_.push_back(net_->AddHost(sim_->rng()));
     }
   }
 
   void MakeFabric(CostModel cost, TcpParams tcp = TcpParams()) {
-    if (sharded_) {
-      sharded_fabric_ = std::make_unique<ShardedFabric>(*sharded_sim_, *net_, cost, tcp, kHosts,
-                                                        /*hosts_per_machine=*/1);
-      // Every host must exist before the sharded engine runs (that fixes
-      // its lookahead).
-      for (const HostId h : hosts_) {
-        sharded_fabric_->TransportFor(h);
-      }
-    } else {
-      fabric_ = std::make_unique<SimFabric>(*sim_, *net_, cost, tcp);
-    }
-  }
-
-  // Engine-agnostic access for the shared cases. Handlers read the time from
-  // their own endpoint's env(): on the sharded engine that is the host's
-  // shard clock.
-  Environment& env() {
-    return sharded_ ? static_cast<Environment&>(*sharded_sim_) : *sim_;
-  }
-  void RunFor(Duration d) { sharded_ ? sharded_sim_->RunFor(d) : sim_->RunFor(d); }
-  Transport* T(int i) {
-    return sharded_ ? sharded_fabric_->TransportFor(hosts_[i]) : fabric_->TransportFor(hosts_[i]);
-  }
-  void CrashHost(int i) {
-    sharded_ ? sharded_fabric_->CrashHost(hosts_[i]) : fabric_->CrashHost(hosts_[i]);
-  }
-  void RestartHost(int i) {
-    sharded_ ? sharded_fabric_->RestartHost(hosts_[i]) : fabric_->RestartHost(hosts_[i]);
-  }
-  bool IsHostUp(int i) const {
-    return sharded_ ? sharded_fabric_->IsHostUp(hosts_[i]) : fabric_->IsHostUp(hosts_[i]);
+    fabric_ = std::make_unique<SimFabric>(*sim_, *net_, cost, tcp);
   }
 
   WireMessage Msg(HostId to, uint16_t type = msgtype::kTest) {
@@ -83,73 +42,57 @@ class TransportTest : public ::testing::Test {
     return m;
   }
 
-  bool sharded_ = false;
   std::unique_ptr<Simulation> sim_;
-  std::unique_ptr<ShardedSim> sharded_sim_;
   std::unique_ptr<SimNetwork> net_;
   std::unique_ptr<SimFabric> fabric_;
-  std::unique_ptr<ShardedFabric> sharded_fabric_;
   std::vector<HostId> hosts_;
 };
 
-class ShardedTransportTest : public TransportTest {
- public:
-  ShardedTransportTest() { sharded_ = true; }
-};
-
-// A case of the network model both simulator fabrics share: written once,
-// run as TransportTest.<name> and ShardedTransportTest.<name>.
-#define FABRIC_TEST(name)                                   \
-  void name##Case(TransportTest& t);                        \
-  TEST_F(TransportTest, name) { name##Case(*this); }        \
-  TEST_F(ShardedTransportTest, name) { name##Case(*this); } \
-  void name##Case(TransportTest& t)
-
-FABRIC_TEST(DeliversMessage) {
-  t.MakeFabric(CostModel::Simulator());
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+TEST_F(TransportTest, DeliversMessage) {
+  MakeFabric(CostModel::Simulator());
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   int received = 0;
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage& m) {
-    EXPECT_EQ(m.from, t.hosts_[0]);
+    EXPECT_EQ(m.from, hosts_[0]);
     EXPECT_EQ(m.payload.size(), 3u);
     ++received;
   });
   Status sent_status = Status::Failed("pending");
-  ta->Send(t.Msg(t.hosts_[1]), [&](const Status& s) { sent_status = s; });
-  t.RunFor(Duration::Seconds(5));
+  ta->Send(Msg(hosts_[1]), [&](const Status& s) { sent_status = s; });
+  sim_->RunFor(Duration::Seconds(5));
   EXPECT_EQ(received, 1);
   EXPECT_TRUE(sent_status.ok());
 }
 
-FABRIC_TEST(DeliveryTakesOneWayLatency) {
-  t.MakeFabric(CostModel::Simulator());
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+TEST_F(TransportTest, DeliveryTakesOneWayLatency) {
+  MakeFabric(CostModel::Simulator());
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   TimePoint arrival;
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { arrival = tb->env().Now(); });
-  const Duration one_way = t.net_->GetPath(t.hosts_[0], t.hosts_[1]).latency;
-  ta->Send(t.Msg(t.hosts_[1]), nullptr);
-  t.RunFor(Duration::Seconds(5));
+  const Duration one_way = net_->GetPath(hosts_[0], hosts_[1]).latency;
+  ta->Send(Msg(hosts_[1]), nullptr);
+  sim_->RunFor(Duration::Seconds(5));
   EXPECT_EQ(arrival.ToMicros(), one_way.ToMicros());
 }
 
-FABRIC_TEST(SendOverheadSerializesSends) {
-  // The cluster's send costs without its connection setup, which the
-  // sharded fabric does not model.
+TEST_F(TransportTest, SendOverheadSerializesSends) {
+  // The cluster's send costs without its connection setup, so the handshake
+  // does not delay the first delivery.
   CostModel cost = CostModel::Cluster();
   cost.model_connection_setup = false;
-  t.MakeFabric(cost);
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+  MakeFabric(cost);
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   std::vector<TimePoint> arrivals;
   tb->RegisterHandler(msgtype::kTest,
                       [&](const WireMessage&) { arrivals.push_back(tb->env().Now()); });
   const int kBurst = 10;
   for (int i = 0; i < kBurst; ++i) {
-    ta->Send(t.Msg(t.hosts_[1]), nullptr);
+    ta->Send(Msg(hosts_[1]), nullptr);
   }
-  t.RunFor(Duration::Seconds(10));
+  sim_->RunFor(Duration::Seconds(10));
   ASSERT_EQ(arrivals.size(), static_cast<size_t>(kBurst));
   // Consecutive deliveries are spaced by the per-send overhead.
   const Duration spacing = arrivals.back() - arrivals.front();
@@ -157,18 +100,18 @@ FABRIC_TEST(SendOverheadSerializesSends) {
   EXPECT_NEAR(spacing.ToMillisF(), expected.ToMillisF(), 0.01);
 }
 
-FABRIC_TEST(RetransmitsUnderLoss) {
-  t.MakeFabric(CostModel::Simulator());
-  t.net_->SetPerLinkLossRate(0.02);  // lossy but survivable
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+TEST_F(TransportTest, RetransmitsUnderLoss) {
+  MakeFabric(CostModel::Simulator());
+  net_->SetPerLinkLossRate(0.02);  // lossy but survivable
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   int received = 0;
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { ++received; });
   int ok = 0, failed = 0;
   const int kMessages = 50;
   for (int i = 0; i < kMessages; ++i) {
-    ta->Send(t.Msg(t.hosts_[1]), [&](const Status& s) { s.ok() ? ++ok : ++failed; });
-    t.RunFor(Duration::Seconds(120));
+    ta->Send(Msg(hosts_[1]), [&](const Status& s) { s.ok() ? ++ok : ++failed; });
+    sim_->RunFor(Duration::Seconds(120));
   }
   // With 2% per-link loss, nearly everything gets through via retransmission.
   EXPECT_GE(received, kMessages - 2);
@@ -177,19 +120,19 @@ FABRIC_TEST(RetransmitsUnderLoss) {
   EXPECT_LE(received, kMessages);
 }
 
-FABRIC_TEST(ConnectionBreaksUnderExtremeLoss) {
-  t.MakeFabric(CostModel::Simulator());
-  t.net_->SetPerLinkLossRate(0.35);  // per-route success is essentially zero
-  Transport* ta = t.T(0);
-  t.T(1);  // materialize receiver
+TEST_F(TransportTest, ConnectionBreaksUnderExtremeLoss) {
+  MakeFabric(CostModel::Simulator());
+  net_->SetPerLinkLossRate(0.35);  // per-route success is essentially zero
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  fabric_->TransportFor(hosts_[1]);  // materialize receiver
   int broken = 0;
   for (int i = 0; i < 5; ++i) {
-    ta->Send(t.Msg(t.hosts_[1]), [&](const Status& s) {
+    ta->Send(Msg(hosts_[1]), [&](const Status& s) {
       if (s.code() == StatusCode::kBroken) {
         ++broken;
       }
     });
-    t.RunFor(Duration::Minutes(5));
+    sim_->RunFor(Duration::Minutes(5));
   }
   EXPECT_GE(broken, 4);  // sockets break under such adverse conditions (7.6)
 }
@@ -197,70 +140,60 @@ FABRIC_TEST(ConnectionBreaksUnderExtremeLoss) {
 // Data gets through but every ack is lost: the receiver sees the message
 // exactly once, and the sender, never acknowledged, gives up with kBroken
 // after max_data_attempts transmissions.
-FABRIC_TEST(AckBlockedDeliversOnceThenBreaks) {
+TEST_F(TransportTest, AckBlockedDeliversOnceThenBreaks) {
   const TcpParams tcp;
-  t.MakeFabric(CostModel::Simulator(), tcp);
-  t.net_->faults().BlockOneWay(t.hosts_[1], t.hosts_[0]);
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+  MakeFabric(CostModel::Simulator(), tcp);
+  net_->faults().BlockOneWay(hosts_[1], hosts_[0]);
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   int received = 0;
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { ++received; });
   Status result = Status::Ok();
   int callbacks = 0;
-  ta->Send(t.Msg(t.hosts_[1]), [&](const Status& s) {
+  ta->Send(Msg(hosts_[1]), [&](const Status& s) {
     result = s;
     ++callbacks;
   });
-  t.RunFor(Duration::Minutes(5));
+  sim_->RunFor(Duration::Minutes(5));
   EXPECT_EQ(received, 1);
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(result.code(), StatusCode::kBroken);
-  EXPECT_EQ(t.env().metrics().MessageCount(MsgCategory::kApp),
+  EXPECT_EQ(sim_->metrics().MessageCount(MsgCategory::kApp),
             static_cast<uint64_t>(tcp.max_data_attempts));
 }
 
-FABRIC_TEST(RestartedHostGetsFreshIncarnation) {
-  t.MakeFabric(CostModel::Simulator());
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+TEST_F(TransportTest, RestartedHostGetsFreshIncarnation) {
+  MakeFabric(CostModel::Simulator());
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   int received = 0;
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { ++received; });
-  ta->Send(t.Msg(t.hosts_[1]), nullptr);  // still in flight at the crash
-  t.CrashHost(1);
-  EXPECT_FALSE(t.IsHostUp(1));
-  t.RestartHost(1);
-  EXPECT_TRUE(t.IsHostUp(1));
+  ta->Send(Msg(hosts_[1]), nullptr);  // still in flight at the crash
+  fabric_->CrashHost(hosts_[1]);
+  EXPECT_FALSE(fabric_->IsHostUp(hosts_[1]));
+  fabric_->RestartHost(hosts_[1]);
+  EXPECT_TRUE(fabric_->IsHostUp(hosts_[1]));
   // Handlers were cleared by the crash; re-register (as restarting node
   // software would). The message addressed to the old incarnation never
   // arrives; a new one does.
   tb->RegisterHandler(msgtype::kTest, [&](const WireMessage&) { received += 10; });
-  t.RunFor(Duration::Seconds(30));
+  sim_->RunFor(Duration::Seconds(30));
   EXPECT_EQ(received, 0);
-  ta->Send(t.Msg(t.hosts_[1]), nullptr);
-  t.RunFor(Duration::Seconds(30));
+  ta->Send(Msg(hosts_[1]), nullptr);
+  sim_->RunFor(Duration::Seconds(30));
   EXPECT_EQ(received, 10);
 }
 
-FABRIC_TEST(MessageMetricsAttributed) {
-  t.MakeFabric(CostModel::Simulator());
-  Transport* ta = t.T(0);
-  Transport* tb = t.T(1);
+TEST_F(TransportTest, MessageMetricsAttributed) {
+  MakeFabric(CostModel::Simulator());
+  Transport* ta = fabric_->TransportFor(hosts_[0]);
+  Transport* tb = fabric_->TransportFor(hosts_[1]);
   tb->RegisterHandler(msgtype::kTest, [](const WireMessage&) {});
-  WireMessage m = t.Msg(t.hosts_[1]);
+  WireMessage m = Msg(hosts_[1]);
   m.category = MsgCategory::kRpc;
   ta->Send(std::move(m), nullptr);
-  t.RunFor(Duration::Seconds(5));
-  EXPECT_EQ(t.env().metrics().MessageCount(MsgCategory::kRpc), 1u);
-}
-
-TEST(ShardedTransportDeathTest, RejectsACostModelWithConnectionSetup) {
-  TopologyConfig cfg;
-  cfg.num_as = 10;
-  ShardedSim sim(17, /*num_shards=*/2, /*threads=*/1);
-  SimNetwork net{Topology::Generate(cfg, sim.rng())};
-  EXPECT_DEATH(ShardedFabric(sim, net, CostModel::Cluster(), TcpParams(), /*expected_hosts=*/2,
-                             /*hosts_per_machine=*/1),
-               "does not model connection setup");
+  sim_->RunFor(Duration::Seconds(5));
+  EXPECT_EQ(sim_->metrics().MessageCount(MsgCategory::kRpc), 1u);
 }
 
 TEST_F(TransportTest, ClusterModeFirstMessagePaysHandshake) {
