@@ -72,6 +72,15 @@ class Pool {
 
   size_t live() const { return live_; }
 
+  // Visits every entry's value in index order; a released entry holds a
+  // default-constructed value.
+  template <typename Fn>
+  void ForEachValue(Fn fn) {
+    for (Entry& e : entries_) {
+      fn(e.value);
+    }
+  }
+
  private:
   struct Entry {
     uint32_t generation = 1;

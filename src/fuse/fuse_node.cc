@@ -68,7 +68,16 @@ void FuseNode::Shutdown() {
   overlay_->SetPingPayloadObserver(nullptr);
   overlay_->SetNeighborFailureHandler(nullptr);
   peer_sweep_.Cancel();
-  // Every timer is an RAII handle owned by the state being dropped here.
+  // Every timer is an RAII handle owned by the state dropped here, except the
+  // backstops, which are bare event ids: cancel each one in pool order, right
+  // after its group's repair timers, as destroying the pool would.
+  Environment& env = transport_->env();
+  group_pool_.ForEachValue([&env](GroupState& g) {
+    if (g.part != nullptr) {
+      g.part->aux.reset();
+      g.part->backstop.Cancel(env);
+    }
+  });
   group_index_ = Flat128Map<GroupRef>();
   group_pool_ = Pool<GroupState>();
   creating_.clear();
@@ -97,25 +106,87 @@ FuseNode::LinkEntry* FuseNode::FindLink(FuseId id, HostId peer) {
   return it == links_by_peer_.end() ? nullptr : it->second.links.Find(id.hi, id.lo);
 }
 
-FuseNode::RepairAux& FuseNode::Aux(GroupState& g) {
-  if (g.aux == nullptr) {
-    g.aux = std::make_unique<RepairAux>();
+FuseNode::LinkPeers::LinkPeers(LinkPeers&& other) noexcept : inline_{} { TakeFrom(other); }
+
+FuseNode::LinkPeers& FuseNode::LinkPeers::operator=(LinkPeers&& other) noexcept {
+  if (this != &other) {
+    FreeSpill();
+    TakeFrom(other);
   }
-  return *g.aux;
+  return *this;
+}
+
+void FuseNode::LinkPeers::TakeFrom(LinkPeers& other) {
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (other.spilled()) {
+    spill_ = other.spill_;
+  } else {
+    std::copy(other.inline_, other.inline_ + size_, inline_);
+  }
+  other.size_ = 0;
+  other.capacity_ = kInline;
+}
+
+void FuseNode::LinkPeers::FreeSpill() {
+  if (spilled()) {
+    delete[] spill_;
+  }
+}
+
+void FuseNode::LinkPeers::push_back(HostId peer) {
+  if (size_ == capacity_) {
+    // Copy out before spill_ is written: it shares storage with inline_.
+    HostId* grown = new HostId[2 * capacity_];
+    std::copy(begin(), end(), grown);
+    if (spilled()) {
+      delete[] spill_;
+    }
+    spill_ = grown;
+    capacity_ *= 2;
+  }
+  data()[size_++] = peer;
+}
+
+bool FuseNode::LinkPeers::erase(HostId peer) {
+  HostId* first = data();
+  HostId* last = first + size_;
+  HostId* it = std::find(first, last, peer);
+  if (it == last) {
+    return false;
+  }
+  std::copy(it + 1, last, it);
+  --size_;
+  return true;
+}
+
+FuseNode::Participant& FuseNode::Part(GroupState& g) {
+  if (g.part == nullptr) {
+    g.part = std::make_unique<Participant>();
+  }
+  return *g.part;
+}
+
+FuseNode::RepairAux& FuseNode::Aux(GroupState& g) {
+  std::unique_ptr<RepairAux>& aux = Part(g).aux;
+  if (aux == nullptr) {
+    aux = std::make_unique<RepairAux>();
+  }
+  return *aux;
 }
 
 void FuseNode::MaybeTrimAux(GroupState& g) {
-  if (g.aux == nullptr) {
+  if (g.part == nullptr || g.part->aux == nullptr) {
     return;
   }
-  const RepairAux& a = *g.aux;
+  const RepairAux& a = *g.part->aux;
   // Roots that have repaired keep their aux: repair_backoff/last_repair_time
   // must survive between rounds or the exponential backoff (paper 6.5) would
   // reset every time the tree heals.
   if (a.repair == nullptr && !a.rerepair_requested && a.install_pending.empty() &&
       !a.install_timer.pending() && !a.scheduled_repair.pending() &&
       !a.member_repair_timer.pending() && a.last_repair_time == TimePoint()) {
-    g.aux.reset();
+    g.part->aux.reset();
   }
 }
 
@@ -136,14 +207,15 @@ std::string FuseNode::DebugGroupState(FuseId id) const {
     s += std::to_string(peer.value);
   }
   s += "]";
-  if (g->aux != nullptr) {
-    if (!g->aux->install_pending.empty()) {
-      s += " install_pending=" + std::to_string(g->aux->install_pending.size());
+  if (g->part != nullptr && g->part->aux != nullptr) {
+    const RepairAux& aux = *g->part->aux;
+    if (!aux.install_pending.empty()) {
+      s += " install_pending=" + std::to_string(aux.install_pending.size());
     }
-    if (g->aux->repair != nullptr) {
+    if (aux.repair != nullptr) {
       s += " repairing";
     }
-    if (g->aux->member_repair_timer.pending()) {
+    if (aux.member_repair_timer.pending()) {
       s += " member_repair_armed";
     }
   }
@@ -161,14 +233,18 @@ size_t FuseNode::ApproxGroupBytes() const {
     if (g == nullptr) {
       return;
     }
-    total += sizeof(GroupState);
-    total += g->links.capacity() * sizeof(HostId);
-    total += g->members.capacity() * sizeof(NodeRef);
-    for (const auto& m : g->members) {
+    total += sizeof(GroupState) + g->links.heap_bytes();
+    if (g->part == nullptr) {
+      return;  // a pure delegate keeps only the core
+    }
+    const Participant& p = *g->part;
+    total += sizeof(Participant);
+    total += p.members.capacity() * sizeof(NodeRef);
+    for (const auto& m : p.members) {
       total += m.name.capacity();
     }
-    total += g->root.name.capacity();
-    if (g->aux != nullptr) {
+    total += p.root.name.capacity();
+    if (p.aux != nullptr) {
       total += sizeof(RepairAux);
     }
   });
@@ -183,14 +259,14 @@ size_t FuseNode::CountArmedGroupTimers() const {
   size_t n = 0;
   group_index_.ForEach([&](uint64_t, uint64_t, const GroupRef& ref) {
     const GroupState* g = group_pool_.Get(ref);
-    if (g == nullptr) {
+    if (g == nullptr || g->part == nullptr) {
       return;
     }
-    if (g->backstop.pending()) {
+    if (g->part->backstop.pending()) {
       ++n;
     }
-    if (g->aux != nullptr) {
-      const RepairAux& a = *g->aux;
+    if (g->part->aux != nullptr) {
+      const RepairAux& a = *g->part->aux;
       if (a.member_repair_timer.pending()) {
         ++n;
       }
@@ -236,7 +312,7 @@ bool FuseNode::DebugVerifyLinkIndex() const {
       const FuseId id{hi, lo};
       XorInto(expect, IdTerm(id).get());
       const GroupState* g = Find(id);
-      ok = ok && g != nullptr && std::find(g->links.begin(), g->links.end(), peer) != g->links.end();
+      ok = ok && g != nullptr && g->links.contains(peer);
     });
     ok = ok && !pl.links.empty() && expect == pl.digest;
   }
@@ -265,6 +341,7 @@ void FuseNode::CreateGroup(std::vector<NodeRef> members, CreateCallback cb) {
     GroupState g;
     g.id = id;
     g.is_root = true;
+    Part(g);
     Emplace(std::move(g));
     stats_.groups_created++;
     env.Schedule(Duration::Zero(), [cb = std::move(cb), id] { cb(Status::Ok(), id); });
@@ -321,7 +398,7 @@ void FuseNode::FinishCreate(FuseId id, const Status& status) {
   GroupState g;
   g.id = id;
   g.is_root = true;
-  g.members = p.members;
+  Part(g).members = p.members;
   std::set<std::string> install_pending;
   for (const auto& m : p.members) {
     if (!p.installed_early.contains(m.name)) {
@@ -349,7 +426,7 @@ void FuseNode::FinishCreate(FuseId id, const Status& status) {
 void FuseNode::RegisterFailureHandler(FuseId id, FailureHandler handler) {
   GroupState* g = Find(id);
   if (g != nullptr && (g->is_root || g->is_member)) {
-    g->handler = std::move(handler);
+    g->part->handler = std::move(handler);
     return;
   }
   // Unknown (or already failed, or delegate-only) id: the failure handler is
@@ -394,13 +471,13 @@ void FuseNode::OnCreateRequest(const WireMessage& msg) {
     GroupState g;
     g.id = id;
     g.is_member = true;
-    g.root = root;
+    Part(g).root = root;
     GroupState& gs = Emplace(std::move(g));
     ArmBackstop(gs);
     SendInstallChecking(gs);
   } else {
     existing->is_member = true;
-    existing->root = root;
+    Part(*existing).root = root;
   }
 
   Writer w;
@@ -442,7 +519,8 @@ void FuseNode::SendInstallChecking(GroupState& g) {
   WriteFuseId(w, g.id);
   w.PutU32(g.seq);
   WriteNodeRef(w, self());
-  overlay_->RouteByName(g.root.name, kRoutedTag, w.Take(), MsgCategory::kFuseInstallChecking);
+  overlay_->RouteByName(g.part->root.name, kRoutedTag, w.Take(),
+                        MsgCategory::kFuseInstallChecking);
 }
 
 bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
@@ -469,8 +547,8 @@ bool FuseNode::OnInstallUpcall(const SkipNetNode::RoutedUpcall& upcall) {
     // the last hop.
     GroupState* g = Find(id);
     if (g != nullptr && g->is_root) {
-      if (seq == g->seq && g->aux != nullptr) {
-        RepairAux& aux = *g->aux;
+      if (seq == g->seq && g->part->aux != nullptr) {
+        RepairAux& aux = *g->part->aux;
         aux.install_pending.erase(member.name);
         if (aux.install_pending.empty()) {
           aux.install_timer.Cancel();
@@ -603,11 +681,9 @@ void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq, const IdTerm& t
 }
 
 void FuseNode::RemoveLink(GroupState& g, HostId peer, const IdTerm& term) {
-  const auto it = std::find(g.links.begin(), g.links.end(), peer);
-  if (it == g.links.end()) {
+  if (!g.links.erase(peer)) {
     return;
   }
-  g.links.erase(it);
   EraseLinkIndex(g.id, peer, term);
   if (g.links.empty() && (g.is_root || g.is_member)) {
     ArmBackstop(g);  // last link gone: fall back to the per-group backstop
@@ -615,29 +691,28 @@ void FuseNode::RemoveLink(GroupState& g, HostId peer, const IdTerm& term) {
 }
 
 void FuseNode::ArmBackstop(GroupState& g) {
+  TimerSlot& backstop = g.part->backstop;
+  Environment& env = transport_->env();
   if (!g.links.empty()) {
     // Healthy path: the peer sweep covers this group through its links; the
     // per-group timer stays disarmed.
-    g.backstop.Cancel();
+    backstop.Cancel(env);
     return;
   }
-  if (!g.backstop.has_callback()) {
-    const FuseId id = g.id;
-    g.backstop.Bind(transport_->env());
-    g.backstop.SetCallback([this, id] {
-      GroupState* grp = Find(id);
-      if (grp == nullptr) {
-        return;
-      }
-      ArmBackstop(*grp);  // keep the backstop alive while we attempt repair
-      if (grp->is_member) {
-        MemberInitiateRepair(*grp);
-      } else if (grp->is_root) {
-        RootScheduleRepair(id);
-      }
-    });
-  }
-  g.backstop.Restart(params_.link_liveness_timeout);
+  const FuseId id = g.id;
+  backstop.Start(env, params_.link_liveness_timeout, [this, id] {
+    GroupState* grp = Find(id);
+    if (grp == nullptr) {
+      return;
+    }
+    grp->part->backstop.Fired();
+    ArmBackstop(*grp);  // keep the backstop alive while we attempt repair
+    if (grp->is_member) {
+      MemberInitiateRepair(*grp);
+    } else if (grp->is_root) {
+      RootScheduleRepair(id);
+    }
+  });
 }
 
 void FuseNode::ArmPeerSweep() {
@@ -769,7 +844,7 @@ void FuseNode::HandleLinkDown(FuseId id, HostId peer) {
     } else {
       // Ablation: no repair — convert the path failure directly into a group
       // failure.
-      SendHard(id, g->root.host);
+      SendHard(id, g->part->root.host);
       DeliverLocalFailure(id);
     }
   } else if (g->is_root) {
@@ -983,7 +1058,7 @@ void FuseNode::OnHardNotification(const WireMessage& msg) {
 
 void FuseNode::RootFailGroup(GroupState& g, HostId except) {
   const FuseId id = g.id;
-  for (const auto& m : g.members) {
+  for (const auto& m : g.part->members) {
     if (m.host != except) {
       SendHard(id, m.host);
     }
@@ -994,7 +1069,7 @@ void FuseNode::RootFailGroup(GroupState& g, HostId except) {
 
 void FuseNode::MemberFailGroup(GroupState& g) {
   const FuseId id = g.id;
-  SendHard(id, g.root.host);
+  SendHard(id, g.part->root.host);
   SendSoftToTree(g, HostId(), g.seq);
   DeliverLocalFailure(id);
 }
@@ -1008,15 +1083,18 @@ void FuseNode::DropGroup(FuseId id, bool deliver_to_app) {
   }
   const GroupRef ref = *rp;
   GroupState& g = *group_pool_.Get(ref);
-  // Releasing the pool slot below disarms every timer the group owns
-  // (backstop, repair machinery); only the peer index needs explicit
-  // maintenance.
+  // Releasing the pool slot below disarms the repair machinery's timers;
+  // the backstop and the peer index need explicit maintenance.
   const IdTerm term(id);
   for (const HostId peer : g.links) {
     EraseLinkIndex(id, peer, term);
   }
   const bool was_participant = g.is_root || g.is_member;
-  FailureHandler handler = std::move(g.handler);
+  FailureHandler handler;
+  if (g.part != nullptr) {
+    g.part->backstop.Cancel(transport_->env());
+    handler = std::move(g.part->handler);
+  }
   group_index_.Erase(id.hi, id.lo);
   group_pool_.Release(ref);
   if (was_participant) {
@@ -1033,12 +1111,12 @@ void FuseNode::DropGroup(FuseId id, bool deliver_to_app) {
 // ---------------------------------------------------------------------------
 
 void FuseNode::MemberInitiateRepair(GroupState& g) {
-  if (g.aux != nullptr && g.aux->member_repair_timer.pending()) {
+  if (g.part->aux != nullptr && g.part->aux->member_repair_timer.pending()) {
     return;  // already waiting for the root
   }
   const FuseId id = g.id;
   WireMessage msg;
-  msg.to = g.root.host;
+  msg.to = g.part->root.host;
   msg.type = msgtype::kFuseNeedRepair;
   msg.category = MsgCategory::kFuseNeedRepair;
   msg.payload = EncodeIdSeq(id, g.seq);
@@ -1122,7 +1200,7 @@ void FuseNode::RootScheduleRepair(FuseId id) {
 
 void FuseNode::RootStartRepair(FuseId id) {
   GroupState* g = Find(id);
-  if (g == nullptr || !g->is_root || (g->aux != nullptr && g->aux->repair != nullptr)) {
+  if (g == nullptr || !g->is_root || (g->part->aux != nullptr && g->part->aux->repair != nullptr)) {
     return;
   }
   Environment& env = transport_->env();
@@ -1135,7 +1213,7 @@ void FuseNode::RootStartRepair(FuseId id) {
   aux.last_repair_time = env.Now();
   aux.repair = std::make_unique<RepairPending>();
   aux.install_pending.clear();
-  for (const auto& m : g->members) {
+  for (const auto& m : g->part->members) {
     aux.repair->awaiting_reply.insert(m.name);
     aux.install_pending.insert(m.name);
   }
@@ -1149,8 +1227,8 @@ void FuseNode::RootStartRepair(FuseId id) {
   // frees this GroupState — iterating g->members directly would walk freed
   // memory once that happens.
   std::vector<HostId> member_hosts;
-  member_hosts.reserve(g->members.size());
-  for (const auto& m : g->members) {
+  member_hosts.reserve(g->part->members.size());
+  for (const auto& m : g->part->members) {
     member_hosts.push_back(m.host);
   }
   for (HostId host : member_hosts) {
@@ -1197,12 +1275,14 @@ void FuseNode::OnRepairRequest(const WireMessage& msg) {
   // Adopt the new tree incarnation: stale SoftNotifications for the old tree
   // are discarded from here on (paper 6.5).
   g->seq = std::max(g->seq, new_seq);
-  if (g->aux != nullptr) {
-    g->aux->member_repair_timer.Cancel();
+  // A pure delegate answers as a member would, so it takes a record too.
+  Participant& part = Part(*g);
+  if (part.aux != nullptr) {
+    part.aux->member_repair_timer.Cancel();
     MaybeTrimAux(*g);
   }
   // The old tree links are obsolete; the new InstallChecking re-creates them.
-  const std::vector<HostId> old_links = g->links;
+  const std::vector<HostId> old_links(g->links.begin(), g->links.end());
   const IdTerm term(id);
   for (const HostId peer : old_links) {
     RemoveLink(*g, peer, term);
@@ -1229,14 +1309,14 @@ void FuseNode::OnRepairReply(const WireMessage& msg) {
     return;
   }
   GroupState* g = Find(id);
-  if (g == nullptr || !g->is_root || g->aux == nullptr || g->aux->repair == nullptr) {
+  if (g == nullptr || !g->is_root || g->part->aux == nullptr || g->part->aux->repair == nullptr) {
     return;
   }
   if (!ok) {
     RootRepairFailed(id);
     return;
   }
-  RepairAux& aux = *g->aux;
+  RepairAux& aux = *g->part->aux;
   aux.repair->awaiting_reply.erase(member.name);
   if (!aux.repair->awaiting_reply.empty()) {
     return;

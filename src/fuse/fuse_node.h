@@ -35,13 +35,21 @@
 // (matching ping digest or reconcile agreement), and one earliest-deadline
 // sweep timer per node tears down every link whose deadline
 // max(install, confirmation) + link_liveness_timeout has passed. Only a
-// participant with no links left arms a per-group backstop. Group state
-// lives in a generation-tagged Pool indexed by a Flat128Map, with the
-// rarely-used repair machinery split into an on-demand side allocation, so
-// a million idle groups cost bytes, not timers.
+// participant with no links left arms a per-group backstop.
+//
+// Group state is dense. Every holder keeps a 56-byte core (ID, seq, role,
+// link peers, one pointer) in a generation-tagged Pool indexed by a
+// Flat128Map. Up to two link peers sit inline, which covers a member (one
+// peer) and a pure delegate (two). Pure delegates are most of the states on
+// a busy node (paper 6.3: they keep only the checking state), so they stop
+// there. The root and the members also own a participant record: root ref,
+// member list, failure handler, backstop and an on-demand repair side
+// allocation. The backstop is a bare event id, so an idle participant holds
+// no timer state on the heap. A million idle groups cost bytes, not timers.
 #ifndef FUSE_FUSE_FUSE_NODE_H_
 #define FUSE_FUSE_FUSE_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -111,6 +119,17 @@ class FuseNode {
     const GroupState* g = Find(id);
     return g != nullptr && (g->is_root || g->is_member);
   }
+  // True if this node holds a participant record for the group (root and
+  // member state); pure delegates hold none.
+  bool HasParticipantRecord(FuseId id) const {
+    const GroupState* g = Find(id);
+    return g != nullptr && g->part != nullptr;
+  }
+  // True if the group's empty-links backstop is armed here.
+  bool BackstopArmed(FuseId id) const {
+    const GroupState* g = Find(id);
+    return g != nullptr && g->part != nullptr && g->part->backstop.pending();
+  }
   size_t NumLiveGroups() const { return group_index_.size(); }
   // Total (group, neighbor) pairs monitored on this node's overlay links —
   // the messages-per-period a non-piggybacked implementation would send.
@@ -128,8 +147,9 @@ class FuseNode {
   // fuzz-repro triage.
   std::string DebugGroupState(FuseId id) const;
 
-  // Estimated heap bytes held by this node's group state (pool slots, link
-  // index, member lists). For the bytes-per-group bench gauges.
+  // Estimated heap bytes held by this node's group state (pool slots,
+  // participant records, spilled link peers, link index, member lists). For
+  // the bytes-per-group bench gauges.
   size_t ApproxGroupBytes() const;
   // Armed FUSE-layer timers (backstop, repair, sweep): O(neighbors) plus
   // transient repair state, independent of the group count.
@@ -142,9 +162,10 @@ class FuseNode {
   void Shutdown();
 
  private:
-  // All timers below are RAII handles: dropping a CreatePending,
-  // RepairPending, or GroupState disarms everything it owns, so the teardown
-  // paths need no explicit cancellation bookkeeping.
+  // The timers below are RAII handles, except a participant's backstop:
+  // dropping a CreatePending, RepairPending or RepairAux disarms everything
+  // it owns. The backstop is a bare event id; DropGroup and Shutdown cancel
+  // it.
 
   // One monitored tree link, stored in its peer's table under the group's ID.
   struct LinkEntry {
@@ -169,8 +190,8 @@ class FuseNode {
 
   // Repair/install machinery, allocated only while a group needs it. The
   // overwhelming majority of groups never repair, so keeping these five
-  // timers and three containers out of GroupState is what makes a million
-  // idle groups fit densely in the pool. Once a root has run a repair the
+  // timers and three containers out of the participant record is what makes
+  // a million idle groups dense. Once a root has run a repair the
   // aux stays (repair_backoff/last_repair_time carry the paper's 6.5 backoff
   // state across rounds); see MaybeTrimAux.
   struct RepairAux {
@@ -190,29 +211,72 @@ class FuseNode {
     Timer scheduled_repair;
   };
 
+  // State only the root and the members keep (a pure delegate holds none).
+  struct Participant {
+    NodeRef root;                  // valid on members
+    std::vector<NodeRef> members;  // valid on the root (excludes the root)
+    FailureHandler handler;
+    // Group-level liveness backstop (paper 6.2: "a timer ... that will
+    // signal failure in the event of future communication failures"). Armed
+    // only while the group has no links; the peer sweep covers it otherwise.
+    // Cancelled explicitly on every drop (DropGroup, Shutdown).
+    TimerSlot backstop;
+    std::unique_ptr<RepairAux> aux;
+  };
+  // Density guard: every participant pays for each byte added here.
+  static_assert(sizeof(Participant) <= 112, "Participant grew: one record per root and member");
+
+  // Peers of a group's tree links, in install order (the order
+  // SoftNotifications fan out in): two inline, spilling to the heap beyond
+  // that. Each link's state lives in that peer's PeerLinks table.
+  class LinkPeers {
+   public:
+    LinkPeers() : inline_{} {}
+    LinkPeers(LinkPeers&& other) noexcept;
+    LinkPeers& operator=(LinkPeers&& other) noexcept;
+    ~LinkPeers() { FreeSpill(); }
+
+    const HostId* begin() const { return spilled() ? spill_ : inline_; }
+    const HostId* end() const { return begin() + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    bool contains(HostId peer) const { return std::find(begin(), end(), peer) != end(); }
+    void push_back(HostId peer);
+    // Removes `peer`, keeping the order of the rest. False if absent.
+    bool erase(HostId peer);
+    // Bytes of the spilled array; zero while the peers fit inline.
+    size_t heap_bytes() const { return spilled() ? capacity_ * sizeof(HostId) : 0; }
+
+   private:
+    static constexpr uint32_t kInline = 2;
+    bool spilled() const { return capacity_ > kInline; }
+    HostId* data() { return spilled() ? spill_ : inline_; }
+    // Frees a spilled array; the caller resets the fields.
+    void FreeSpill();
+    // Takes `other`'s peers; this must hold no spilled array.
+    void TakeFrom(LinkPeers& other);
+
+    uint32_t size_ = 0;
+    uint32_t capacity_ = kInline;
+    union {
+      HostId inline_[kInline];
+      HostId* spill_;
+    };
+  };
+
+  // The core every holder keeps: a pure delegate stops here.
   struct GroupState {
     FuseId id;
     uint32_t seq = 0;
     bool is_root = false;
-    bool is_member = false;     // non-root member
-    NodeRef root;               // valid on members
-    std::vector<NodeRef> members;  // valid on the root (excludes the root)
-
-    // Peers of the liveness tree links this node monitors for the group, in
-    // install order (the order SoftNotifications fan out in). Each link's
-    // state lives in that peer's PeerLinks table.
-    std::vector<HostId> links;
-
-    // Members/root: group-level liveness backstop (paper 6.2: "a timer ...
-    // that will signal failure in the event of future communication
-    // failures"). Armed only while the group has no links; the peer sweep
-    // covers it otherwise.
-    Timer backstop;
-
-    std::unique_ptr<RepairAux> aux;
-
-    FailureHandler handler;
+    bool is_member = false;  // non-root member
+    LinkPeers links;
+    // Non-null on the root and the members (and on a delegate that answered
+    // a repair request as a member would).
+    std::unique_ptr<Participant> part;
   };
+  // Density guard: one core per group on every node of its tree.
+  static_assert(sizeof(GroupState) <= 64, "GroupState grew: one core per tree node per group");
 
   using GroupRef = Pool<GroupState>::Ref;
 
@@ -308,6 +372,7 @@ class FuseNode {
   void DropGroup(FuseId id, bool deliver_to_app);
   void EraseLinkIndex(FuseId id, HostId peer, const IdTerm& term);
   LinkEntry* FindLink(FuseId id, HostId peer);
+  Participant& Part(GroupState& g);
   RepairAux& Aux(GroupState& g);
   void MaybeTrimAux(GroupState& g);
   // XORs an ID's term into the digest: self-inverse, so the same call both

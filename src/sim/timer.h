@@ -114,7 +114,6 @@ class Timer {
   }
 
   bool pending() const { return state_ != nullptr && state_->pending; }
-  bool has_callback() const { return state_ != nullptr && state_->fn != nullptr; }
 
  private:
   struct State {
@@ -131,6 +130,37 @@ class Timer {
   Environment* env_ = nullptr;
   TimerId id_;
   std::shared_ptr<State> state_;
+};
+
+// One-shot timer for state kept by the hundred thousand (one per group): it
+// holds only the scheduled event's id, so an idle slot costs 8 bytes and no
+// heap. The owner supplies the environment and the closure at each arm, and
+// must Cancel before dropping the slot (there is no destructor to do it).
+// The closure must call Fired() before anything else, so that the slot reads
+// idle while its own callback runs.
+class TimerSlot {
+ public:
+  // Arms the slot, replacing any pending fire.
+  void Start(Environment& env, Duration d, UniqueFunction fn) {
+    Cancel(env);
+    id_ = env.Schedule(d, std::move(fn));
+  }
+
+  // Disarms. Returns true if a pending fire was cancelled.
+  bool Cancel(Environment& env) {
+    if (!pending()) {
+      return false;
+    }
+    env.Cancel(id_);
+    id_ = TimerId();
+    return true;
+  }
+
+  void Fired() { id_ = TimerId(); }
+  bool pending() const { return id_.valid(); }
+
+ private:
+  TimerId id_;
 };
 
 // Fixed-period repeating timer. The callback runs once per period after the

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/serialize.h"
@@ -518,6 +519,171 @@ TEST(FuseInstallTeardownTest, DeadEndOnLiveGroupRepairsWithoutNotifying) {
   GTEST_SKIP() << "no group with a pure delegate found";
 }
 
+bool StateHas(const FuseNode& node, FuseId id, const std::string& field) {
+  return node.DebugGroupState(id).find(field) != std::string::npos;
+}
+
+// The per-group backstop (paper 6.2) covers a participant that holds no
+// tree links: the peer sweep cannot see such a group. A member whose overlay
+// drops the root keeps no links, and its re-installs find no route, so it
+// stays linkless: the backstop fires every link_liveness_timeout, asks the
+// root for a repair, and re-arms. Repair rounds never time the group out
+// here (long repair and install timeouts), and the root's own repairs back
+// off for longer than a ping period, so they cannot re-arm the member's
+// backstop between its arming and its firing.
+TEST(FuseBackstopTest, LinklessMemberRepairsEveryLivenessTimeout) {
+  ClusterConfig cfg = SmallConfig(2, 131);
+  cfg.overlay.ping_period = Duration::Seconds(10);
+  cfg.overlay.ping_timeout = Duration::Seconds(4);
+  cfg.fuse.link_liveness_timeout = Duration::Seconds(30);
+  cfg.fuse.repair_backoff_initial = Duration::Seconds(20);
+  cfg.fuse.member_repair_timeout = Duration::Minutes(60);
+  cfg.fuse.root_repair_timeout = Duration::Minutes(60);
+  cfg.fuse.install_timeout = Duration::Minutes(60);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  const size_t root = 0;
+  const size_t member = 1;
+  Status status;
+  const FuseId id = CreateGroupSync(cluster, root, {root, member}, &status);
+  ASSERT_TRUE(status.ok());
+  cluster.sim().RunFor(Duration::Seconds(1));
+  const FuseNode& m = *cluster.node(member).fuse();
+  for (size_t i : {root, member}) {
+    const FuseNode& f = *cluster.node(i).fuse();
+    EXPECT_TRUE(f.HasParticipantRecord(id)) << "node " << i;
+    EXPECT_FALSE(f.BackstopArmed(id)) << "node " << i << " holds a link: the sweep covers it";
+  }
+
+  // The member loses its last link: it arms the backstop and asks for repair.
+  cluster.node(member).overlay()->ReportNeighborFailure(cluster.RefOf(root).host);
+  EXPECT_TRUE(StateHas(m, id, "links=[]")) << m.DebugGroupState(id);
+  EXPECT_TRUE(m.BackstopArmed(id));
+  EXPECT_TRUE(StateHas(m, id, "member_repair_armed"));
+
+  // The root's repair round reaches the member, which drops its (already
+  // empty) links, restarts the backstop and re-installs along no route.
+  ASSERT_TRUE(cluster.sim().RunUntilCondition([&] { return StateHas(m, id, "seq=1"); },
+                                              cluster.sim().Now() + Duration::Seconds(10)));
+  const TimePoint armed_at = cluster.sim().Now();
+  EXPECT_TRUE(StateHas(m, id, "links=[]")) << m.DebugGroupState(id);
+  EXPECT_TRUE(m.BackstopArmed(id));
+  EXPECT_FALSE(StateHas(m, id, "member_repair_armed"));
+
+  // It fires link_liveness_timeout later, starts the member's half of a
+  // repair (NeedRepair to the root, member repair timer armed) and re-arms,
+  // since the group still has no links.
+  const Duration timeout = cfg.fuse.link_liveness_timeout;
+  ASSERT_TRUE(cluster.sim().RunUntilCondition(
+      [&] { return StateHas(m, id, "member_repair_armed"); }, armed_at + timeout));
+  EXPECT_EQ(cluster.sim().Now(), armed_at + timeout);
+  EXPECT_TRUE(StateHas(m, id, "links=[]")) << m.DebugGroupState(id);
+  EXPECT_TRUE(m.BackstopArmed(id));
+  // That NeedRepair brings the root's next round to the member.
+  EXPECT_TRUE(cluster.sim().RunUntilCondition([&] { return StateHas(m, id, "seq=2"); },
+                                              cluster.sim().Now() + timeout));
+  EXPECT_TRUE(m.BackstopArmed(id));
+}
+
+// A root that loses its last link arms the backstop, and failing the group
+// cancels every event the group held. The link is a phantom: an
+// InstallChecking that a neighbor routed to a one-node group's root without
+// holding state of its own, so nothing confirms it and the sweep removes it
+// at its deadline (reconciles are held off). The group has no members, so
+// its failure sends nothing: the pending-event count falls by exactly the
+// group's armed timers.
+TEST(FuseBackstopTest, RootBackstopArmsAndDiesWithTheGroup) {
+  ClusterConfig cfg = SmallConfig(2, 132);
+  cfg.overlay.ping_period = Duration::Seconds(5);
+  cfg.overlay.ping_timeout = Duration::Seconds(2);
+  cfg.fuse.link_liveness_timeout = Duration::Seconds(30);
+  cfg.fuse.root_repair_timeout = Duration::Minutes(60);
+  cfg.fuse.reconcile_min_interval = Duration::Minutes(600);
+  cfg.fuse.grace_period = Duration::Minutes(600);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  const size_t a = 0;
+  const size_t p = 1;
+  Status status;
+  const FuseId id = CreateGroupSync(cluster, a, {a}, &status);
+  ASSERT_TRUE(status.ok());
+  FuseNode& root = *cluster.node(a).fuse();
+  EXPECT_TRUE(root.HasParticipantRecord(id));
+  EXPECT_FALSE(root.BackstopArmed(id)) << "a one-node group has nothing to monitor";
+
+  Writer w;
+  WriteFuseId(w, id);
+  w.PutU32(0);
+  WriteNodeRef(w, cluster.RefOf(p));
+  cluster.node(p).overlay()->RouteByName(cluster.RefOf(a).name, FuseNode::kRoutedTag, w.Take(),
+                                         MsgCategory::kFuseInstallChecking);
+  const std::string phantom = "links=[" + std::to_string(cluster.RefOf(p).host.value) + "]";
+  ASSERT_TRUE(cluster.sim().RunUntilCondition([&] { return StateHas(root, id, phantom); },
+                                              cluster.sim().Now() + Duration::Seconds(1)));
+  EXPECT_FALSE(root.BackstopArmed(id));
+
+  ASSERT_TRUE(cluster.sim().RunUntilCondition([&] { return root.BackstopArmed(id); },
+                                              cluster.sim().Now() + 2 * cfg.fuse.link_liveness_timeout));
+  EXPECT_TRUE(StateHas(root, id, "links=[]")) << root.DebugGroupState(id);
+  // Past one firing: the backstop re-armed, and the group still lives.
+  cluster.sim().RunFor(cfg.fuse.link_liveness_timeout + Duration::Seconds(1));
+  ASSERT_TRUE(root.BackstopArmed(id));
+
+  int notified = 0;
+  root.RegisterFailureHandler(id, [&](FuseId) { ++notified; });
+  const size_t pending = cluster.sim().queue().PendingCount();
+  const size_t armed = root.CountArmedGroupTimers();
+  root.SignalFailure(id);
+  EXPECT_EQ(notified, 1);
+  EXPECT_FALSE(root.HasLiveGroup(id));
+  const size_t armed_after = root.CountArmedGroupTimers();
+  EXPECT_LE(armed_after, 1u) << "only the peer sweep may stay armed";
+  EXPECT_EQ(pending - cluster.sim().queue().PendingCount(), armed - armed_after);
+}
+
+// Pure delegates keep only the checking state (paper 6.3): no participant
+// record, so never a backstop, before or after a member crash.
+TEST(FuseBackstopTest, PureDelegatesHoldNoParticipantState) {
+  SimCluster cluster(SmallConfig(48, 133));
+  cluster.Build();
+  std::vector<FuseId> ids;
+  std::vector<std::vector<size_t>> groups;
+  for (int g = 0; g < 12; ++g) {
+    const auto members = cluster.PickLiveNodes(3);
+    Status status;
+    ids.push_back(CreateGroupSync(cluster, members[0], members, &status));
+    ASSERT_TRUE(status.ok());
+    groups.push_back(members);
+  }
+  auto check_delegates = [&] {
+    size_t delegates = 0;
+    for (const FuseId id : ids) {
+      for (size_t i = 0; i < cluster.size(); ++i) {
+        if (!cluster.IsUp(i)) {
+          continue;
+        }
+        const FuseNode& f = *cluster.node(i).fuse();
+        if (!f.HasLiveGroup(id)) {
+          continue;
+        }
+        EXPECT_EQ(f.HasParticipantRecord(id), f.IsParticipant(id)) << "node " << i;
+        if (!f.IsParticipant(id)) {
+          ++delegates;
+          EXPECT_FALSE(f.BackstopArmed(id)) << "node " << i;
+        }
+      }
+    }
+    return delegates;
+  };
+  cluster.sim().RunFor(Duration::Seconds(5));
+  EXPECT_GT(check_delegates(), 0u) << "no pure delegate to check";
+  cluster.Crash(groups[0][1]);
+  for (int step = 0; step < 6; ++step) {
+    cluster.sim().RunFor(Duration::Seconds(30));
+    check_delegates();
+  }
+}
+
 TEST(FuseDeterminismTest, SameSeedSameOutcome) {
   auto run = [](uint64_t seed) {
     SimCluster cluster(SmallConfig(24, seed));
@@ -534,3 +700,4 @@ TEST(FuseDeterminismTest, SameSeedSameOutcome) {
 
 }  // namespace
 }  // namespace fuse
+
