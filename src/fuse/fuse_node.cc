@@ -54,6 +54,13 @@ FuseNode::FuseNode(Transport* transport, SkipNetNode* overlay, FuseParams params
   overlay_->SetPingPayloadObserver(
       [this](HostId n, const uint8_t* data, size_t len) { OnPingPayload(n, data, len); });
   overlay_->SetNeighborFailureHandler([this](HostId n) { OnOverlayNeighborFailed(n); });
+  // Every host this node holds tree links to stays in the overlay's ping set
+  // until its last link goes, so the ping digest keeps confirming the links.
+  overlay_->SetPinnedPeersProvider([this](std::vector<HostId>& out) {
+    for (const auto& [peer, pl] : links_by_peer_) {
+      out.push_back(peer);
+    }
+  });
 }
 
 FuseNode::~FuseNode() { Shutdown(); }
@@ -67,6 +74,7 @@ void FuseNode::Shutdown() {
   overlay_->SetPingPayloadProvider(nullptr);
   overlay_->SetPingPayloadObserver(nullptr);
   overlay_->SetNeighborFailureHandler(nullptr);
+  overlay_->SetPinnedPeersProvider(nullptr);
   peer_sweep_.Cancel();
   // Every timer is an RAII handle owned by the state dropped here, except the
   // backstops, which are bare event ids: cancel each one in pool order, right
@@ -646,6 +654,7 @@ void FuseNode::EraseLinkIndex(FuseId id, HostId peer, const IdTerm& term) {
     }
     if (it->second.links.empty()) {
       links_by_peer_.erase(it);
+      overlay_->RefreshPingSet();  // the peer's last link: unpin it
     }
   }
 }
@@ -674,6 +683,7 @@ void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq, const IdTerm& t
     // is not a confirmation, so last_refresh stays unset.
     pl.sweep_at = now + params_.link_liveness_timeout;
     ArmPeerSweep();
+    overlay_->RefreshPingSet();  // pin the peer
   }
   if (g.is_root || g.is_member) {
     ArmBackstop(g);

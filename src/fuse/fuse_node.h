@@ -131,6 +131,9 @@ class FuseNode {
     return g != nullptr && g->part != nullptr && g->part->backstop.pending();
   }
   size_t NumLiveGroups() const { return group_index_.size(); }
+  // True if this node holds tree links to `peer` (and so pins it in the
+  // overlay's ping set).
+  bool HasLinksTo(HostId peer) const { return links_by_peer_.contains(peer); }
   // Total (group, neighbor) pairs monitored on this node's overlay links —
   // the messages-per-period a non-piggybacked implementation would send.
   size_t NumMonitoredLinks() const {

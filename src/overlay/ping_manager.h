@@ -1,6 +1,7 @@
-// Liveness checking of routing-table neighbors.
+// Liveness checking of overlay neighbors.
 //
-// Every distinct routing-table neighbor is pinged once per period (60 s in
+// Every host in the owner's ping set (its distinct routing-table neighbors
+// plus the hosts its client pins) is pinged once per period (60 s in
 // the paper, with a 20 s timeout — section 7.4). Each ping request and reply
 // carries an opaque client payload: this is the hook FUSE uses to piggyback
 // its 20-byte SHA-1 hash of the jointly monitored group list (section 6.1),
@@ -77,6 +78,7 @@ class PingManager {
   bool running() const { return running_; }
 
   size_t NumPeers() const { return peers_.size(); }
+  bool HasPeer(HostId peer) const { return peers_.Find(peer.value) != nullptr; }
 
  private:
   struct Peer {

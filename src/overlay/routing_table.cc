@@ -124,6 +124,28 @@ bool RoutingTable::HasNeighbor(HostId host) const {
   return found;
 }
 
+std::optional<NodeRef> RoutingTable::NearestNeighbor(bool clockwise,
+                                                     const std::string& beyond) const {
+  const NodeRef* best = nullptr;
+  ForEachRef([&](const NodeRef& r) {
+    if (r.name == self_name_) {
+      return;
+    }
+    if (!beyond.empty() && !(clockwise ? CwStrictlyBetween(beyond, self_name_, r.name)
+                                       : CwStrictlyBetween(beyond, r.name, self_name_))) {
+      return;
+    }
+    if (best == nullptr || (clockwise ? CwStrictlyBetween(r.name, self_name_, best->name)
+                                      : CwStrictlyBetween(r.name, best->name, self_name_))) {
+      best = &r;
+    }
+  });
+  if (best == nullptr) {
+    return std::nullopt;
+  }
+  return *best;
+}
+
 std::optional<NodeRef> RoutingTable::NextHopTowards(const std::string& dest) const {
   if (dest == self_name_) {
     return std::nullopt;

@@ -58,7 +58,8 @@ class RoutingTable {
   bool RemoveHost(HostId host);
 
   // All distinct hosts referenced anywhere in the table (ring levels + leaf
-  // set). These are exactly the neighbors the node must ping (section 5).
+  // set): the routing neighbors the node pings (section 5). The node's ping
+  // set adds the hosts its client pins (SkipNetNode::RefreshPingSet).
   std::vector<HostId> DistinctNeighborHosts() const;
   // All distinct refs (deduplicated by host).
   std::vector<NodeRef> DistinctNeighbors() const;
@@ -67,6 +68,11 @@ class RoutingTable {
   // strictly inside (self, dest], the one that makes the most progress.
   // Returns nullopt when the local node is the last hop (owner or dest).
   std::optional<NodeRef> NextHopTowards(const std::string& dest) const;
+
+  // The known node nearest to self walking clockwise (or counter-
+  // clockwise), from any ring level or the leaf set; nullopt if none. With
+  // `beyond` set, only nodes that lie past that name on the walk count.
+  std::optional<NodeRef> NearestNeighbor(bool clockwise, const std::string& beyond = "") const;
 
   // True if any pointer references `host`.
   bool HasNeighbor(HostId host) const;

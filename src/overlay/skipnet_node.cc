@@ -1,5 +1,6 @@
 #include "overlay/skipnet_node.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -188,6 +189,10 @@ void SkipNetNode::SetNeighborFailureHandler(NeighborFailureHandler h) {
 }
 
 void SkipNetNode::ReportNeighborFailure(HostId host) { OnNeighborFailed(host); }
+
+void SkipNetNode::SetPinnedPeersProvider(PinnedPeersProvider p) {
+  pinned_peers_provider_ = std::move(p);
+}
 
 // ---------------------------------------------------------------------------
 // Routed messages.
@@ -610,13 +615,20 @@ void SkipNetNode::OnNeighborFailed(HostId host) {
     return;
   }
   recently_failed_[host] = transport_->env().Now();
-  if (!table_.HasNeighbor(host)) {
+  const bool routing_neighbor = table_.HasNeighbor(host);
+  if (!routing_neighbor && !pings_.HasPeer(host)) {
     return;  // already removed (duplicate detection)
   }
   // Tell the client (FUSE) first: it needs to know which monitored links
-  // died; its own per-group state references this host.
+  // died; its own per-group state references this host. A pinned host that
+  // is not a routing neighbor gets here too, so its links fail within the
+  // ping timeout rather than at the client's own liveness deadline.
   if (client_failure_handler_) {
     client_failure_handler_(host);
+  }
+  if (!routing_neighbor) {
+    RefreshPingSet();
+    return;
   }
   table_.RemoveHost(host);
   FixLevelZeroFromLeafSet();
@@ -697,37 +709,76 @@ void SkipNetNode::RepairWalk(int level, bool clockwise, NodeRef walk_at, int ste
 }
 
 void SkipNetNode::RefillLeafSet() {
-  const bool cw_low =
-      table_.leaf_cw().size() < static_cast<size_t>(table_.params().leaf_set_half);
-  const bool ccw_low =
-      table_.leaf_ccw().size() < static_cast<size_t>(table_.params().leaf_set_half);
-  if (!cw_low && !ccw_low) {
-    return;
+  const size_t half = static_cast<size_t>(table_.params().leaf_set_half);
+  for (const bool cw : {true, false}) {
+    const std::vector<NodeRef>& side = cw ? table_.leaf_cw() : table_.leaf_ccw();
+    if (side.empty()) {
+      // Every leaf on this side sat in one dead arc wider than the leaf set
+      // (a crashed machine's contiguous names). The nearest node any ring
+      // level still knows on this side lies past the arc: walk back from it.
+      if (const auto nearest = table_.NearestNeighbor(cw); nearest.has_value()) {
+        CloseLeafGap(cw, *nearest, config_.walk_budget);
+      }
+      continue;
+    }
+    if (side.size() >= half) {
+      continue;
+    }
+    // Ask the farthest surviving leaf (it is nearest to the hole) for its
+    // neighborhood. If it is silent too, the hole may reach past the leaf
+    // set: walk back from the nearest node known beyond it.
+    const NodeRef farthest = side.back();
+    QueryAndMergeNeighborhood(farthest, [this, cw, farthest](const std::vector<NodeRef>* added) {
+      if (added != nullptr) {
+        return;
+      }
+      if (const auto beyond = table_.NearestNeighbor(cw, farthest.name); beyond.has_value()) {
+        CloseLeafGap(cw, *beyond, config_.walk_budget);
+      }
+    });
   }
-  // Ask the farthest surviving leaf (it is nearest to the hole) for its
-  // neighborhood and merge the answer.
-  const std::vector<NodeRef>& side = cw_low ? table_.leaf_cw() : table_.leaf_ccw();
-  NodeRef target;
-  if (!side.empty()) {
-    target = side.back();
-  } else if (!table_.leaf_cw().empty()) {
-    target = table_.leaf_cw().back();
-  } else if (!table_.leaf_ccw().empty()) {
-    target = table_.leaf_ccw().back();
-  } else {
-    return;  // totally isolated; nothing we can do locally
-  }
-  QueryAndMergeNeighborhood(target);
 }
 
-void SkipNetNode::QueryAndMergeNeighborhood(const NodeRef& target) {
+void SkipNetNode::CloseLeafGap(bool clockwise, const NodeRef& target, int steps_left) {
+  if (steps_left <= 0) {
+    return;
+  }
+  // The answer holds the target's neighbors on our side of it. Walk on to
+  // the nearest one we did not know, until an answer brings none.
+  QueryAndMergeNeighborhood(target, [this, clockwise, target,
+                                     steps_left](const std::vector<NodeRef>* added) {
+    if (added == nullptr) {
+      return;
+    }
+    const NodeRef* next = nullptr;
+    for (const NodeRef& ref : *added) {
+      const NodeRef& bound = next == nullptr ? target : *next;
+      if (clockwise ? CwStrictlyBetween(ref.name, self_.name, bound.name)
+                    : CwStrictlyBetween(ref.name, bound.name, self_.name)) {
+        next = &ref;
+      }
+    }
+    if (next != nullptr) {
+      CloseLeafGap(clockwise, *next, steps_left - 1);
+    }
+  });
+}
+
+void SkipNetNode::QueryAndMergeNeighborhood(const NodeRef& target, MergeDone then) {
   Writer w;
   w.PutU8(0);
   w.PutU8(1);
   w.PutU8(1);  // want leaf set
   rpc_->Call(target.host, msgtype::kOverlayNeighborQuery, w.Take(), config_.query_timeout,
-             [this](const Status& s, const std::vector<uint8_t>& reply) {
-               if (shutdown_ || !s.ok()) {
+             [this, target, then = std::move(then)](const Status& s,
+                                                    const std::vector<uint8_t>& reply) {
+               if (shutdown_) {
+                 return;
+               }
+               if (!s.ok()) {
+                 if (then) {
+                   then(nullptr);
+                 }
                  return;
                }
                Reader r(reply);
@@ -737,9 +788,12 @@ void SkipNetNode::QueryAndMergeNeighborhood(const NodeRef& target) {
                  ReadNodeRef(r);
                }
                const uint32_t n = r.GetU32();
-               std::vector<NodeRef> added;
+               std::vector<NodeRef> candidates{target};
                for (uint32_t i = 0; i < n && r.ok(); ++i) {
-                 const NodeRef ref = ReadNodeRef(r);
+                 candidates.push_back(ReadNodeRef(r));
+               }
+               std::vector<NodeRef> added;
+               for (const NodeRef& ref : candidates) {
                  if (ref.valid() && ref.host != self_.host && !IsQuarantined(ref.host) &&
                      table_.OfferLeaf(ref)) {
                    added.push_back(ref);
@@ -753,6 +807,9 @@ void SkipNetNode::QueryAndMergeNeighborhood(const NodeRef& target) {
                  }
                  RefreshPingSet();
                }
+               if (then) {
+                 then(&added);
+               }
              },
              MsgCategory::kOverlayJoin);
 }
@@ -765,9 +822,23 @@ void SkipNetNode::FixLevelZeroFromLeafSet() {
 }
 
 void SkipNetNode::RefreshPingSet() {
-  if (pings_.running()) {
-    pings_.UpdateNeighbors(table_.DistinctNeighborHosts());
+  if (!pings_.running()) {
+    return;
   }
+  std::vector<HostId> hosts = table_.DistinctNeighborHosts();
+  if (pinned_peers_provider_) {
+    std::vector<HostId> pinned;
+    pinned_peers_provider_(pinned);
+    std::sort(pinned.begin(), pinned.end());
+    const size_t routing = hosts.size();
+    for (const HostId h : pinned) {
+      if (std::find(hosts.begin(), hosts.begin() + static_cast<std::ptrdiff_t>(routing), h) ==
+          hosts.begin() + static_cast<std::ptrdiff_t>(routing)) {
+        hosts.push_back(h);
+      }
+    }
+  }
+  pings_.UpdateNeighbors(hosts);
 }
 
 }  // namespace fuse

@@ -5,6 +5,12 @@
 // its overlay (section 6.1): client upcalls on every intermediate hop of a
 // routed message, and a routing table visible to the client (FUSE piggybacks
 // its hash on the ping traffic between routing-table neighbors).
+//
+// The ping set is the routing table's distinct hosts plus every host the
+// client pins. FUSE pins each host it holds tree links to, so a link stays
+// confirmed by pings for as long as it exists, even after leaf-set
+// maintenance has replaced its peer in the routing table. A pinned host that
+// stops answering is reported to the client like a routing neighbor.
 #ifndef FUSE_OVERLAY_SKIPNET_NODE_H_
 #define FUSE_OVERLAY_SKIPNET_NODE_H_
 
@@ -73,6 +79,8 @@ class SkipNetNode {
   };
   using RoutedHandler = std::function<bool(RoutedUpcall&)>;
   using NeighborFailureHandler = std::function<void(HostId)>;
+  // Appends the hosts the client needs pinged (in any order) to `out`.
+  using PinnedPeersProvider = std::function<void(std::vector<HostId>& out)>;
 
   SkipNetNode(Transport* transport, RpcNode* rpc, std::string name, NumericId numeric,
               SkipNetConfig config);
@@ -115,6 +123,15 @@ class SkipNetNode {
 
   // Reports a neighbor as failed (e.g. the client saw a broken connection).
   void ReportNeighborFailure(HostId host);
+
+  // Hosts kept in the ping set whether or not they are routing neighbors.
+  // The client calls RefreshPingSet whenever the set it provides changes.
+  void SetPinnedPeersProvider(PinnedPeersProvider p);
+  // Re-reads the ping set: the routing table's distinct hosts, then the
+  // pinned hosts that are not among them, in host order.
+  void RefreshPingSet();
+  // True if `host` is in the ping set (a routing neighbor or pinned).
+  bool IsPinged(HostId host) const { return pings_.HasPeer(host); }
 
  private:
   // Internal routed-message tag for join searches.
@@ -160,13 +177,20 @@ class SkipNetNode {
   void ScheduleRepair();
   void RunRepair();
   void RepairWalk(int level, bool clockwise, NodeRef walk_at, int steps_left);
+  // Refills each leaf side that failures left short of leaf_set_half.
   void RefillLeafSet();
-  // Asks `target` for its neighborhood and merges the reply into our table.
-  void QueryAndMergeNeighborhood(const NodeRef& target);
+  // Closes a gap in one leaf side: asks `target` (on that side) for its
+  // neighborhood, then walks on to the nearest node between us and the
+  // target that the answer taught us, at most `steps_left` queries in all.
+  void CloseLeafGap(bool clockwise, const NodeRef& target, int steps_left);
+  // Runs after a neighborhood query: with the nodes the merged answer added
+  // to the leaf set, or with nullptr when the target did not answer.
+  using MergeDone = std::function<void(const std::vector<NodeRef>* added)>;
+  // Asks `target` for its neighborhood and merges the reply (and `target`,
+  // which just answered) into our table.
+  void QueryAndMergeNeighborhood(const NodeRef& target, MergeDone then = nullptr);
   void ScheduleLeafExchange();
   void FixLevelZeroFromLeafSet();
-
-  void RefreshPingSet();
 
   Transport* transport_;
   RpcNode* rpc_;
@@ -200,6 +224,7 @@ class SkipNetNode {
 
   std::unordered_map<uint16_t, RoutedHandler> routed_handlers_;
   NeighborFailureHandler client_failure_handler_;
+  PinnedPeersProvider pinned_peers_provider_;
   PingManager::PayloadProvider client_payload_provider_;
 };
 

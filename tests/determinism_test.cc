@@ -782,21 +782,21 @@ TEST(DeterminismTest, GoldenGroupLinkTableTrace) {
       "notify t=412753621 node=18 g=175\n"
       "notify t=412778836 node=8 g=97\n"
       "notify t=412778836 node=8 g=150\n"
-      "msgs overlay_ping n=4091 bytes=249736\n"
-      "msgs overlay_ping_reply n=3828 bytes=233848\n"
-      "msgs overlay_join n=2216 bytes=263243\n"
+      "msgs overlay_ping n=4105 bytes=250580\n"
+      "msgs overlay_ping_reply n=3829 bytes=233904\n"
+      "msgs overlay_join n=2299 bytes=271477\n"
       "msgs overlay_routed n=0 bytes=0\n"
       "msgs fuse_create n=1200 bytes=102600\n"
-      "msgs fuse_install_checking n=958 bytes=126456\n"
-      "msgs fuse_soft_notification n=274 bytes=18632\n"
+      "msgs fuse_install_checking n=990 bytes=130680\n"
+      "msgs fuse_soft_notification n=299 bytes=20332\n"
       "msgs fuse_hard_notification n=748 bytes=47872\n"
-      "msgs fuse_need_repair n=549 bytes=37332\n"
-      "msgs fuse_repair n=526 bytes=38180\n"
-      "msgs fuse_reconcile n=62 bytes=19968\n"
+      "msgs fuse_need_repair n=560 bytes=38080\n"
+      "msgs fuse_repair n=556 bytes=40490\n"
+      "msgs fuse_reconcile n=108 bytes=35352\n"
       "msgs rpc n=0 bytes=0\n"
       "msgs app n=0 bytes=0\n"
       "msgs transport_control n=0 bytes=0\n"
-      "events=44770 now=646083291 live=21\n";
+      "events=45389 now=646083291 live=21\n";
   if (trace != golden) {
     std::fprintf(stderr, "--- actual group link table trace ---\n%s--- end ---\n",
                  trace.c_str());

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "fuse/fuse_id.h"
 #include "overlay/skipnet_node.h"
@@ -682,6 +683,274 @@ TEST(FuseBackstopTest, PureDelegatesHoldNoParticipantState) {
     cluster.sim().RunFor(Duration::Seconds(30));
     check_delegates();
   }
+}
+
+// Groups of four random nodes on the LargeScale testbed (64 nodes), created
+// one per simulated millisecond; returns the created IDs.
+std::vector<std::pair<FuseId, std::vector<size_t>>> CreateRandomGroups(SimCluster& cluster,
+                                                                       Rng& rng, int n) {
+  std::vector<std::pair<FuseId, std::vector<size_t>>> groups;
+  int pending = n;
+  for (int k = 0; k < n; ++k) {
+    const std::vector<size_t> members = rng.SampleIndices(cluster.size(), 4);
+    cluster.node(members[0])
+        .fuse()
+        ->CreateGroup(cluster.RefsOf(members), [&, members](const Status& s, FuseId id) {
+          if (s.ok()) {
+            groups.emplace_back(id, members);
+          }
+          --pending;
+        });
+    cluster.sim().RunFor(Duration::Millis(1));
+  }
+  cluster.sim().RunUntilCondition([&] { return pending == 0; },
+                                  cluster.sim().Now() + Duration::Minutes(3));
+  return groups;
+}
+
+// FUSE pins every host it holds links to in the overlay's ping set. Leaf
+// exchange replaces some routing neighbors during an idle window; a peer
+// that leaves the routing table while links use it stays pinged, its digest
+// keeps confirming them, and no tree is swept or repaired. Once the groups
+// are gone the pins are too: the ping set is the routing table again.
+TEST(FusePinTest, PeerLeavingTheRoutingTableStaysPingedWhileLinked) {
+  SimCluster cluster(ClusterConfig::LargeScale(64, 1));
+  cluster.Build();
+  Rng rng(7);
+  const auto groups = CreateRandomGroups(cluster, rng, 500);
+  ASSERT_EQ(groups.size(), 500u);
+  auto linked_neighbors = [&cluster] {
+    std::vector<std::pair<size_t, HostId>> pairs;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      for (size_t j = 0; j < cluster.size(); ++j) {
+        const HostId h = cluster.RefOf(j).host;
+        if (cluster.node(i).fuse()->HasLinksTo(h) &&
+            cluster.node(i).overlay()->table().HasNeighbor(h)) {
+          pairs.emplace_back(i, h);
+        }
+      }
+    }
+    return pairs;
+  };
+  const auto before = linked_neighbors();
+  uint64_t repairs0 = 0;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    repairs0 += cluster.node(i).fuse()->stats().repairs_initiated;
+  }
+  cluster.sim().RunFor(Duration::Minutes(8));  // three leaf exchange periods
+
+  size_t left = 0;
+  uint64_t repairs = 0;
+  for (const auto& [i, h] : before) {
+    const FuseNode& f = *cluster.node(i).fuse();
+    if (f.HasLinksTo(h) && !cluster.node(i).overlay()->table().HasNeighbor(h)) {
+      ++left;
+      EXPECT_TRUE(cluster.node(i).overlay()->IsPinged(h)) << "node " << i << " peer " << h.value;
+    }
+  }
+  size_t live = 0;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    repairs += cluster.node(i).fuse()->stats().repairs_initiated;
+    live += cluster.node(i).fuse()->NumLiveGroups();
+  }
+  EXPECT_GT(left, 0u) << "no linked peer left a routing table";
+  EXPECT_EQ(repairs, repairs0) << "an idle window repaired trees";
+
+  for (const auto& [id, members] : groups) {
+    cluster.node(members[0]).fuse()->SignalFailure(id);
+  }
+  cluster.sim().RunFor(Duration::Seconds(30));
+  size_t links_left = 0;
+  size_t unpinned = 0;
+  for (size_t i = 0; i < cluster.size(); ++i) {
+    const SkipNetNode& overlay = *cluster.node(i).overlay();
+    const FuseNode& f = *cluster.node(i).fuse();
+    for (size_t j = 0; j < cluster.size(); ++j) {
+      const HostId h = cluster.RefOf(j).host;
+      EXPECT_EQ(overlay.IsPinged(h), overlay.table().HasNeighbor(h) || f.HasLinksTo(h))
+          << "node " << i << " peer " << j;
+      unpinned += overlay.IsPinged(h) ? 0 : 1;
+    }
+    links_left += f.NumMonitoredLinks();
+  }
+  EXPECT_GT(live, 0u);
+  EXPECT_LT(links_left, 10u) << "the signals left links behind";
+  EXPECT_GT(unpinned, 0u);
+}
+
+// A pinned host that is not a routing neighbor reports its ping timeout to
+// FUSE like a neighbor does. The chosen member's only link runs to a node
+// whose routing table does not hold the member; the member crashes, and
+// that node alone can see it. It pings the member because the link pins it,
+// so the group fails within a ping period plus the ping timeout (and the
+// repair that follows), long before the link liveness deadline.
+TEST(FusePinTest, PinnedNonNeighborCrashNotifiesWithinPingTimeout) {
+  ClusterConfig cfg = ClusterConfig::LargeScale(64, 1);
+  cfg.fuse.link_liveness_timeout = Duration::Minutes(30);
+  SimCluster cluster(cfg);
+  cluster.Build();
+  Rng rng(11);
+  const auto groups = CreateRandomGroups(cluster, rng, 200);
+  cluster.sim().RunFor(Duration::Seconds(10));
+  // A member whose only link in its group runs to a node that pins it.
+  const std::pair<FuseId, std::vector<size_t>>* chosen = nullptr;
+  size_t victim = 0;
+  for (const auto& g : groups) {
+    for (size_t k = 1; k < g.second.size() && chosen == nullptr; ++k) {
+      const size_t m = g.second[k];
+      const HostId mh = cluster.RefOf(m).host;
+      for (size_t holder = 0; holder < cluster.size(); ++holder) {
+        const std::string only_link =
+            "links=[" + std::to_string(cluster.RefOf(holder).host.value) + "]";
+        if (holder != m && StateHas(*cluster.node(m).fuse(), g.first, only_link) &&
+            !cluster.node(holder).overlay()->table().HasNeighbor(mh) &&
+            cluster.node(holder).overlay()->IsPinged(mh)) {
+          chosen = &g;
+          victim = m;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_NE(chosen, nullptr) << "no member links only to a node that pins it";
+  Recorder rec;
+  for (const size_t m : chosen->second) {
+    rec.Watch(cluster, m, chosen->first);
+  }
+  const TimePoint crash_at = cluster.sim().Now();
+  cluster.Crash(victim);
+  const Duration bound =
+      cfg.overlay.ping_period + cfg.overlay.ping_timeout + Duration::Seconds(30);
+  cluster.sim().RunFor(bound);
+  for (const size_t m : chosen->second) {
+    if (m == victim) {
+      continue;
+    }
+    EXPECT_EQ(rec.fired[m], 1) << "member " << m;
+    EXPECT_LE(rec.when[m], crash_at + bound) << "member " << m;
+  }
+}
+
+// One crash of a whole simulated machine under idle groups, graded like the
+// sim_groups benchmark: the testbed is ClusterConfig::LargeScale's, 64 nodes
+// placed ten to a machine, so a machine is a contiguous arc of ten names,
+// wider than leaf_set_half (8). Groups of four random nodes are created one
+// per simulated millisecond, idle for `steady`, and then `victim` crashes.
+struct MachineCrashOutcome {
+  int created = 0;
+  int touched = 0;          // groups with a member on the victim machine
+  int false_notify = 0;     // upcalls at members of untouched groups
+  int missed = 0;           // live members of touched groups never notified
+  uint64_t repairs = 0;     // root repair rounds in the steady window
+  uint64_t reconciles = 0;  // reconcile exchanges in the steady window
+};
+
+MachineCrashOutcome RunMachineCrash(uint64_t seed, int num_groups, Duration steady,
+                                    size_t victim) {
+  constexpr size_t kNodes = 64;
+  SimCluster cluster(ClusterConfig::LargeScale(kNodes, 1));
+  cluster.Build();
+  Rng rng(seed);
+  struct Group {
+    std::vector<size_t> members;
+    FuseId id;
+    bool ok = false;
+    std::vector<int> fires;
+  };
+  std::vector<Group> groups(num_groups);
+  int pending = num_groups;
+  for (Group& g : groups) {
+    g.members = rng.SampleIndices(kNodes, 4);
+    g.fires.assign(g.members.size(), 0);
+    cluster.node(g.members[0])
+        .fuse()
+        ->CreateGroup(cluster.RefsOf(g.members), [&g, &pending](const Status& s, FuseId id) {
+          g.ok = s.ok();
+          g.id = id;
+          --pending;
+        });
+    cluster.sim().RunFor(Duration::Millis(1));
+  }
+  cluster.sim().RunUntilCondition([&] { return pending == 0; },
+                                  cluster.sim().Now() + Duration::Minutes(3));
+  MachineCrashOutcome out;
+  for (Group& g : groups) {
+    if (!g.ok) {
+      continue;
+    }
+    ++out.created;
+    for (size_t k = 0; k < g.members.size(); ++k) {
+      cluster.node(g.members[k]).fuse()->RegisterFailureHandler(g.id, [&g, k](FuseId) {
+        ++g.fires[k];
+      });
+    }
+  }
+  auto sum_stats = [&cluster](uint64_t FuseNode::Stats::*field) {
+    uint64_t n = 0;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      if (cluster.IsUp(i)) {
+        n += cluster.node(i).fuse()->stats().*field;
+      }
+    }
+    return n;
+  };
+  const uint64_t repairs0 = sum_stats(&FuseNode::Stats::repairs_initiated);
+  const uint64_t reconciles0 = sum_stats(&FuseNode::Stats::reconciles);
+  cluster.sim().RunFor(steady);
+  out.repairs = sum_stats(&FuseNode::Stats::repairs_initiated) - repairs0;
+  out.reconciles = sum_stats(&FuseNode::Stats::reconciles) - reconciles0;
+  cluster.CrashMachine(victim);
+  cluster.sim().RunFor(Duration::Minutes(10));
+  for (const Group& g : groups) {
+    if (!g.ok) {
+      continue;
+    }
+    bool touched = false;
+    for (const size_t m : g.members) {
+      touched = touched || cluster.MachineOf(m) == static_cast<int>(victim);
+    }
+    out.touched += touched ? 1 : 0;
+    for (size_t k = 0; k < g.members.size(); ++k) {
+      if (!touched) {
+        out.false_notify += g.fires[k];
+      } else if (cluster.MachineOf(g.members[k]) != static_cast<int>(victim) && g.fires[k] == 0) {
+        ++out.missed;
+      }
+    }
+  }
+  return out;
+}
+
+// A machine crash must leave the groups it does not touch silent. Each
+// survivor next to the victim's arc used to lose every leaf on that side one
+// ping timeout at a time, and a refill asked only the leaves it still held,
+// which lay in the same dead arc. Once the last of them was gone, an
+// InstallChecking routed toward a live root on the far side of the arc found
+// no next hop there, and the "route stalled" HardNotification failed a group
+// whose root and members were all alive. Fixed in SkipNetNode::RefillLeafSet:
+// a side whose farthest leaf is silent, or a side left empty, is re-closed by
+// walking back from the nearest node known beyond it.
+TEST(FuseMachineCrashTest, ArcWiderThanLeafSetLeavesDisjointGroupsSilent) {
+  const MachineCrashOutcome o = RunMachineCrash(1, 500, Duration::Seconds(180), 2);
+  EXPECT_GT(o.touched, 0);
+  EXPECT_LT(o.touched, o.created);
+  EXPECT_EQ(o.false_notify, 0);
+  EXPECT_EQ(o.missed, 0);
+}
+
+// A minimized replay of the sim_groups benchmark at seed 1 and --seconds 5,
+// which failed 680 of 31,250 operations, all false notifications of groups
+// the crash of machine 0 did not touch. The same shape with 500 groups
+// failed 64 upcalls. Two causes, both fixed: the overlay's leaf exchange
+// dropped peers from the ping set while FUSE links rode on them, so idle
+// trees were swept and repaired over and over (FUSE now pins every linked
+// peer in the ping set), and the arc refill above.
+TEST(FuseMachineCrashTest, SimGroupsSeedOneFiveSecondReplay) {
+  const MachineCrashOutcome o = RunMachineCrash(1, 500, Duration::Seconds(180), 0);
+  EXPECT_EQ(o.false_notify, 0);
+  EXPECT_EQ(o.missed, 0);
+  // Idle groups cost only pings: the steady window runs no repair round.
+  EXPECT_EQ(o.repairs, 0u);
 }
 
 TEST(FuseDeterminismTest, SameSeedSameOutcome) {
