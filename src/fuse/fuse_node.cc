@@ -1220,6 +1220,15 @@ void FuseNode::RootStartRepair(FuseId id) {
   // NeedRepair racing with the round's installs re-arms the flag.
   aux.rerepair_requested = false;
   g->seq++;
+  // The old tree is obsolete. Each member drops its ends when the round's
+  // request reaches it (OnRepairRequest), and the root drops its own here:
+  // a stale end left behind would disagree with its peer, and the reconcile
+  // that tears it down would schedule a second round with a doubled backoff.
+  const std::vector<HostId> old_links(g->links.begin(), g->links.end());
+  const IdTerm term(id);
+  for (const HostId peer : old_links) {
+    RemoveLink(*g, peer, term);
+  }
   aux.last_repair_time = env.Now();
   aux.repair = std::make_unique<RepairPending>();
   aux.install_pending.clear();

@@ -782,21 +782,21 @@ TEST(DeterminismTest, GoldenGroupLinkTableTrace) {
       "notify t=412753621 node=18 g=175\n"
       "notify t=412778836 node=8 g=97\n"
       "notify t=412778836 node=8 g=150\n"
-      "msgs overlay_ping n=4105 bytes=250580\n"
-      "msgs overlay_ping_reply n=3829 bytes=233904\n"
+      "msgs overlay_ping n=4105 bytes=250780\n"
+      "msgs overlay_ping_reply n=3829 bytes=234104\n"
       "msgs overlay_join n=2299 bytes=271477\n"
       "msgs overlay_routed n=0 bytes=0\n"
       "msgs fuse_create n=1200 bytes=102600\n"
-      "msgs fuse_install_checking n=990 bytes=130680\n"
-      "msgs fuse_soft_notification n=299 bytes=20332\n"
+      "msgs fuse_install_checking n=970 bytes=128040\n"
+      "msgs fuse_soft_notification n=251 bytes=17068\n"
       "msgs fuse_hard_notification n=748 bytes=47872\n"
-      "msgs fuse_need_repair n=560 bytes=38080\n"
-      "msgs fuse_repair n=556 bytes=40490\n"
-      "msgs fuse_reconcile n=108 bytes=35352\n"
+      "msgs fuse_need_repair n=533 bytes=36244\n"
+      "msgs fuse_repair n=526 bytes=38180\n"
+      "msgs fuse_reconcile n=14 bytes=3416\n"
       "msgs rpc n=0 bytes=0\n"
       "msgs app n=0 bytes=0\n"
       "msgs transport_control n=0 bytes=0\n"
-      "events=45389 now=646083291 live=21\n";
+      "events=44733 now=646083291 live=21\n";
   if (trace != golden) {
     std::fprintf(stderr, "--- actual group link table trace ---\n%s--- end ---\n",
                  trace.c_str());

@@ -685,6 +685,57 @@ TEST(FuseBackstopTest, PureDelegatesHoldNoParticipantState) {
   }
 }
 
+// A root that loses one tree link soft-notifies the rest of its tree, and
+// those peers drop their ends of the old tree. The root drops its own ends
+// when the repair round starts, as each member does when the round's request
+// reaches it. It used to keep them: its digests then disagreed with those
+// peers, and the reconcile that tore the stale ends down scheduled a second
+// round, with a doubled backoff, for a tree the first round had already
+// rebuilt.
+TEST(FuseRepairTest, RootDropsItsOldEndsWhenARoundStarts) {
+  SimCluster cluster(SmallConfig(24, 141));
+  cluster.Build();
+  // A group whose root holds links to at least two peers.
+  FuseId id;
+  size_t root = 0;
+  HostId lost;
+  for (int attempt = 0; attempt < 20 && !lost.valid(); ++attempt) {
+    const auto members = cluster.PickLiveNodes(4);
+    Status status;
+    id = CreateGroupSync(cluster, members[0], members, &status);
+    ASSERT_TRUE(status.ok());
+    cluster.sim().RunFor(Duration::Seconds(5));
+    root = members[0];
+    const FuseNode& f = *cluster.node(root).fuse();
+    size_t peers = 0;
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      if (f.HasLinksTo(cluster.RefOf(i).host) &&
+          StateHas(f, id, std::to_string(cluster.RefOf(i).host.value))) {
+        ++peers;
+        lost = cluster.RefOf(i).host;
+      }
+    }
+    if (peers < 2) {
+      lost = HostId();
+    }
+  }
+  ASSERT_TRUE(lost.valid()) << "no root with two link peers";
+  const FuseNode& f = *cluster.node(root).fuse();
+  cluster.node(root).overlay()->ReportNeighborFailure(lost);
+  ASSERT_TRUE(cluster.sim().RunUntilCondition([&] { return StateHas(f, id, "repairing"); },
+                                              cluster.sim().Now() + Duration::Seconds(10)));
+  EXPECT_TRUE(StateHas(f, id, "links=[]")) << f.DebugGroupState(id);
+  // The rounds that answer the failure itself, and the NeedRepairs of the
+  // members it soft-notified, all start within seconds. A reconcile needs a
+  // ping first, so a round it drives would start later.
+  cluster.sim().RunFor(Duration::Seconds(10));
+  const uint64_t rounds = f.stats().repairs_initiated;
+  cluster.sim().RunFor(Duration::Minutes(5));
+  EXPECT_TRUE(f.HasLiveGroup(id));
+  EXPECT_EQ(f.stats().repairs_initiated, rounds) << f.DebugGroupState(id);
+  EXPECT_EQ(f.stats().reconciles, 0u);
+}
+
 // Groups of four random nodes on the LargeScale testbed (64 nodes), created
 // one per simulated millisecond; returns the created IDs.
 std::vector<std::pair<FuseId, std::vector<size_t>>> CreateRandomGroups(SimCluster& cluster,
