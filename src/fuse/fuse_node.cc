@@ -654,7 +654,7 @@ void FuseNode::EraseLinkIndex(FuseId id, HostId peer, const IdTerm& term) {
     }
     if (it->second.links.empty()) {
       links_by_peer_.erase(it);
-      overlay_->RefreshPingSet();  // the peer's last link: unpin it
+      overlay_->Unpin(peer);  // the peer's last link
     }
   }
 }
@@ -683,7 +683,7 @@ void FuseNode::AddLink(GroupState& g, HostId peer, uint32_t seq, const IdTerm& t
     // is not a confirmation, so last_refresh stays unset.
     pl.sweep_at = now + params_.link_liveness_timeout;
     ArmPeerSweep();
-    overlay_->RefreshPingSet();  // pin the peer
+    overlay_->Pin(peer);
   }
   if (g.is_root || g.is_member) {
     ArmBackstop(g);

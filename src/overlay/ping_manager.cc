@@ -67,23 +67,7 @@ void PingManager::UpdateNeighbors(const std::vector<HostId>& neighbors) {
   // No scratch map: the stamp lives in the peer entry.
   ++wanted_epoch_;
   for (const HostId h : neighbors) {
-    if (Peer* existing = peers_.Find(h.value); existing != nullptr) {
-      existing->wanted_epoch = wanted_epoch_;
-      continue;
-    }
-    Peer& p = peers_.FindOrInsert(h.value);
-    p.wanted_epoch = wanted_epoch_;
-    if (coalesce_) {
-      continue;  // no per-peer timers: the next round picks the peer up
-    }
-    p.ping.Bind(transport_->env());
-    p.timeout.Bind(transport_->env());
-    // The timeout callback is installed once; every subsequent ping just
-    // rearms it (Restart), allocation-free.
-    p.timeout.SetCallback([this, h] { HandleFailure(h); });
-    if (running_) {
-      StartPeerPings(h);
-    }
+    Want(h).wanted_epoch = wanted_epoch_;
   }
   doomed_.clear();
   peers_.ForEach([this](uint64_t key, Peer& peer) {
@@ -94,6 +78,31 @@ void PingManager::UpdateNeighbors(const std::vector<HostId>& neighbors) {
   for (const uint64_t key : doomed_) {
     peers_.Erase(key);  // resets the entry: its timers auto-cancel
   }
+}
+
+void PingManager::AddPeer(HostId peer) { Want(peer); }
+
+void PingManager::RemovePeer(HostId peer) {
+  peers_.Erase(peer.value);  // resets the entry: its timers auto-cancel
+}
+
+PingManager::Peer& PingManager::Want(HostId h) {
+  if (Peer* existing = peers_.Find(h.value); existing != nullptr) {
+    return *existing;
+  }
+  Peer& p = peers_.FindOrInsert(h.value);
+  if (coalesce_) {
+    return p;  // no per-peer timers: the next round picks the peer up
+  }
+  p.ping.Bind(transport_->env());
+  p.timeout.Bind(transport_->env());
+  // The timeout callback is installed once; every subsequent ping just
+  // rearms it (Restart), allocation-free.
+  p.timeout.SetCallback([this, h] { HandleFailure(h); });
+  if (running_) {
+    StartPeerPings(h);  // schedules only: `p` stays valid
+  }
+  return p;
 }
 
 void PingManager::StartPeerPings(HostId peer) {

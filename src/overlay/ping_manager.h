@@ -70,8 +70,13 @@ class PingManager {
   void SetFailureHandler(FailureHandler h) { on_failure_ = std::move(h); }
 
   // Reconciles the pinged set with the current neighbor list: new neighbors
-  // get a jittered first ping; removed neighbors stop being pinged.
+  // get a jittered first ping; removed neighbors stop being pinged. A host
+  // listed twice counts once.
   void UpdateNeighbors(const std::vector<HostId>& neighbors);
+  // Adds one peer (a no-op if it is pinged already) or removes one, leaving
+  // the rest of the set as it is.
+  void AddPeer(HostId peer);
+  void RemovePeer(HostId peer);
 
   void Start();
   void Stop();
@@ -92,6 +97,8 @@ class PingManager {
     TimePoint deadline;
   };
 
+  // The peer's entry, created (with its first ping scheduled) if missing.
+  Peer& Want(HostId peer);
   // Begins the peer's periodic ping cycle at a jittered phase.
   void StartPeerPings(HostId peer);
   void SendPing(HostId peer);

@@ -59,7 +59,7 @@ class RoutingTable {
 
   // All distinct hosts referenced anywhere in the table (ring levels + leaf
   // set): the routing neighbors the node pings (section 5). The node's ping
-  // set adds the hosts its client pins (SkipNetNode::RefreshPingSet).
+  // set adds the hosts its client pins (SkipNetNode::Pin).
   std::vector<HostId> DistinctNeighborHosts() const;
   // All distinct refs (deduplicated by host).
   std::vector<NodeRef> DistinctNeighbors() const;

@@ -194,6 +194,20 @@ void SkipNetNode::SetPinnedPeersProvider(PinnedPeersProvider p) {
   pinned_peers_provider_ = std::move(p);
 }
 
+// One host at a time, so links coming and going on a busy node cost a hash
+// lookup, not a rebuild of the whole ping set.
+void SkipNetNode::Pin(HostId host) {
+  if (pings_.running()) {
+    pings_.AddPeer(host);
+  }
+}
+
+void SkipNetNode::Unpin(HostId host) {
+  if (pings_.running() && !table_.HasNeighbor(host)) {
+    pings_.RemovePeer(host);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Routed messages.
 // ---------------------------------------------------------------------------
@@ -827,16 +841,11 @@ void SkipNetNode::RefreshPingSet() {
   }
   std::vector<HostId> hosts = table_.DistinctNeighborHosts();
   if (pinned_peers_provider_) {
-    std::vector<HostId> pinned;
-    pinned_peers_provider_(pinned);
-    std::sort(pinned.begin(), pinned.end());
-    const size_t routing = hosts.size();
-    for (const HostId h : pinned) {
-      if (std::find(hosts.begin(), hosts.begin() + static_cast<std::ptrdiff_t>(routing), h) ==
-          hosts.begin() + static_cast<std::ptrdiff_t>(routing)) {
-        hosts.push_back(h);
-      }
-    }
+    // The pinned hosts follow in host order. One that is also a routing
+    // neighbor is listed twice; UpdateNeighbors keeps a single entry.
+    const auto routing = static_cast<std::ptrdiff_t>(hosts.size());
+    pinned_peers_provider_(hosts);
+    std::sort(hosts.begin() + routing, hosts.end());
   }
   pings_.UpdateNeighbors(hosts);
 }

@@ -125,11 +125,11 @@ class SkipNetNode {
   void ReportNeighborFailure(HostId host);
 
   // Hosts kept in the ping set whether or not they are routing neighbors.
-  // The client calls RefreshPingSet whenever the set it provides changes.
+  // The client calls Pin when the set it provides gains a host and Unpin
+  // when it loses one.
   void SetPinnedPeersProvider(PinnedPeersProvider p);
-  // Re-reads the ping set: the routing table's distinct hosts, then the
-  // pinned hosts that are not among them, in host order.
-  void RefreshPingSet();
+  void Pin(HostId host);
+  void Unpin(HostId host);
   // True if `host` is in the ping set (a routing neighbor or pinned).
   bool IsPinged(HostId host) const { return pings_.HasPeer(host); }
 
@@ -191,6 +191,10 @@ class SkipNetNode {
   void QueryAndMergeNeighborhood(const NodeRef& target, MergeDone then = nullptr);
   void ScheduleLeafExchange();
   void FixLevelZeroFromLeafSet();
+
+  // Re-reads the ping set: the routing table's distinct hosts, then the
+  // pinned hosts in host order.
+  void RefreshPingSet();
 
   Transport* transport_;
   RpcNode* rpc_;
