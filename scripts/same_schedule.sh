@@ -9,7 +9,10 @@
 #     and MachineFailureProperty suites, one ScenarioResult line per run,
 #     written through FUSE_SCENARIO_OUT).
 # A base whose test binary predates an output variable writes no file for it;
-# that comparison is reported as skipped. Exits 0 when every compared output
+# that comparison is reported as skipped. Each side's sweep summary
+# (`swept ... violations=N`) and the number of schedule lines that differ are
+# printed either way, so a change that moves behaviour on purpose can still
+# show a clean sweep on both sides. Exits 0 when every compared output
 # matches byte for byte, 1 on any difference (printed as a unified diff), 2
 # on a usage error.
 #
@@ -59,6 +62,12 @@ run() {  # <binary dir> <tag>
 }
 run "${out}/base-build" base
 run "${build_dir}" work
+
+for tag in base work; do
+  echo "same_schedule: ${tag}: $(grep '^swept ' "${out}/${tag}.fuzz.log" || echo 'no sweep summary')" >&2
+done
+differing="$(diff "${out}/base.fuzz.log" "${out}/work.fuzz.log" | grep -c '^>' || true)"
+echo "same_schedule: ${differing} schedule lines differ" >&2
 
 status=0
 for kind in fuzz.log trace.txt scenario.txt; do
